@@ -59,26 +59,47 @@ def test_curve_report_round_trip(capsys):
     assert not curve_is_singular(curve, {"A6": 1, "A2": 1}).singular
 
 
+_X4_DOC = {"params": ["A"], "V": "A*x^4", "W": "8*A*x^2"}
+
+# (argv, stdin document or None, golden file, exit code)
+GOLDEN_CASES = [
+    (["curve", "--family", "thm1", "--g", "1", "--m", "1"], None,
+     "curve_thm1_g1_m1.json", 0),
+    (["verdict", "--family", "thm3", "--n", "7", "--b-mult", "2", "--g-bound", "2"], None,
+     "verdict_thm3_n7.json", 0),
+    (["singular", "--family", "thm2", "--g", "2", "--m", "2",
+      "--bind", "A4=1", "--bind", "A2=0", "--bind", "A0=0"], None,
+     "singular_thm2_g2.json", 0),
+    (["chain", "--family", "thm1", "--g", "2"], None, "chain_thm1_g2.json", 0),
+    (["chain"], {**_X4_DOC, "m": 2}, "chain_doc_x4_m2.json", 0),
+    (["curve"], {**_X4_DOC, "m": 1}, "curve_doc_x4_m1.json", 0),
+    (["verdict", "--g-bound", "3"], _X4_DOC, "verdict_doc_x4.json", 0),
+    (["verdict", "--family", "thm2", "--g", "2"], None, "verdict_thm2_g2.json", 0),
+    (["scan", "--family", "thm1", "--bind", "A6=1", "--bind", "A2=1",
+      "--g-range", "1:2", "--m-range", "1:3"], None, "scan_thm1_bound.json", 0),
+    (["scan", "--family", "thm3", "--n", "5", "--b-mult", "1", "--m-range", "1:2"], None,
+     "scan_thm3_n5.json", 0),
+    (["singular", "--params", "A", "--V", "A*x^4", "--W", "8*A*x^2", "--m", "1",
+      "--bind", "A=1"], None, "singular_inline_x4_m1.json", 0),
+    (["commutator", "--family", "dixmier_rank3"], None, "commutator_dixmier_rank3.json", 0),
+    (["commutator", "--L", "D^2 + x^2", "--M", "(D + x)^3"], None,
+     "commutator_explicit.json", 1),
+    (["oracle-check", "--family", "thm1", "--g", "2", "--k-range", "0:3"], None,
+     "oracle_thm1_g2.json", 0),
+]
+
+
 def test_golden_files_match(capsys):
-    cases = [
-        (["curve", "--family", "thm1", "--g", "1", "--m", "1"], "curve_thm1_g1_m1.json"),
-        (
-            ["verdict", "--family", "thm3", "--n", "7", "--b-mult", "2", "--g-bound", "2"],
-            "verdict_thm3_n7.json",
-        ),
-        (
-            ["singular", "--family", "thm2", "--g", "2", "--m", "2",
-             "--bind", "A4=1", "--bind", "A2=0", "--bind", "A0=0"],
-            "singular_thm2_g2.json",
-        ),
-    ]
-    for argv, name in cases:
+    for argv, doc, name, want_code in GOLDEN_CASES:
         path = os.path.join(GOLDEN, name)
-        _, out, _ = run_cli(argv, capsys)
+        stdin = json.dumps(doc) if doc is not None else None
+        code, out, _ = run_cli(argv, capsys, stdin=stdin)
+        assert code == want_code, name
         with open(path, "r", encoding="utf-8") as fh:
-            assert out == fh.read()
-        code, _, _ = run_cli(argv + ["--golden", path], capsys)
-        assert code == 0
+            assert out == fh.read(), name
+        code, _, err = run_cli(argv + ["--golden", path], capsys, stdin=stdin)
+        assert code == want_code, name
+        assert "golden mismatch" not in err, name
 
 
 def test_golden_mismatch_and_missing(tmp_path, capsys):
