@@ -9,17 +9,7 @@ defining operator identities.
 
 import argparse
 
-from weylcurve import (
-    DiffOp,
-    FamilySpec,
-    assemble_q,
-    build_family,
-    build_qchain,
-    dixmier_pair,
-    extract_constraints,
-    solve_constants,
-    spectral_curve,
-)
+from weylcurve import DiffOp, FamilySpec, build_family, dixmier_pair, solve_pair
 
 SHOWCASES = [
     ("x^6 family, g=m=1", "thm1", {"g": 1}, 1),
@@ -33,8 +23,8 @@ SHOWCASES = [
 
 def show_family(title: str, kind: str, params: dict, m: int) -> None:
     ring, V, W = build_family(FamilySpec(kind, params))
-    chain = build_qchain(V, W, m)
-    outcome = solve_constants(extract_constraints(chain))
+    solution = solve_pair(V, W, m)
+    outcome = solution.outcome
     print(f"== {title}")
     print(f"   V = {V}")
     print(f"   W = {W}")
@@ -46,10 +36,8 @@ def show_family(title: str, kind: str, params: dict, m: int) -> None:
     if outcome.side_conditions:
         conds = ", ".join(f"{p} != 0" for p in outcome.side_conditions)
         print(f"     valid where {conds}")
-    Q = assemble_q(chain, outcome)
-    curve = spectral_curve(Q, chain.V, chain.W)
-    print(f"   Q = {Q}")
-    print(f"   w^2 = {curve}")
+    print(f"   Q = {solution.Q}")
+    print(f"   w^2 = {solution.curve}")
     print()
 
 

@@ -15,30 +15,17 @@ larger --g-max to push the evidence further.
 
 import argparse
 
-from weylcurve import (
-    FamilySpec,
-    assemble_q,
-    build_family,
-    build_qchain,
-    curve_is_singular,
-    extract_constraints,
-    solve_constants,
-    spectral_curve,
-)
+from weylcurve import FamilySpec, build_family, curve_is_singular, solve_pair
 
 
 def scan_cell(kind: str, params: dict, m: int) -> str:
     ring, V, W = build_family(FamilySpec(kind, params))
-    chain = build_qchain(V, W, m)
-    outcome = solve_constants(extract_constraints(chain))
-    if not outcome.feasible:
+    solution = solve_pair(V, W, m)
+    if solution.curve is None:
         return "infeasible"
-    Q = assemble_q(chain, outcome)
-    curve = spectral_curve(Q, chain.V, chain.W)
-    report = curve_is_singular(curve)
-    tag = "singular" if report.singular else "smooth"
-    if outcome.free:
-        tag += " (free " + ",".join(outcome.free) + " -> 0)"
+    tag = "singular" if curve_is_singular(solution.curve).singular else "smooth"
+    if solution.outcome.free:
+        tag += " (free " + ",".join(solution.outcome.free) + " -> 0)"
     return tag
 
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .scalars import ParamPoly, ParamRing, ParamScalar, RatLike
-from .weyl import XPoly
+from .weyl import XPoly, dense_add, dense_mul, xpoly_integrate
 
 
 class ChainError(ValueError):
@@ -81,10 +81,7 @@ class QPoly:
 
     def __add__(self, other: "QPoly") -> "QPoly":
         self._same_ring(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return QPoly(
-            self.ring, [self.coefficient(i) + other.coefficient(i) for i in range(n)]
-        )
+        return QPoly(self.ring, dense_add(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "QPoly":
         return QPoly(self.ring, [-c for c in self.coeffs])
@@ -94,15 +91,7 @@ class QPoly:
 
     def __mul__(self, other: "QPoly") -> "QPoly":
         self._same_ring(other)
-        if self.is_zero() or other.is_zero():
-            return QPoly.zero(self.ring)
-        out = [XPoly.zero(self.ring)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return QPoly(self.ring, out)
+        return QPoly(self.ring, dense_mul(self.coeffs, other.coeffs, XPoly.zero(self.ring)))
 
     def scale_x(self, p) -> "QPoly":
         """Multiply every z-coefficient by an x-polynomial or scalar."""
@@ -157,9 +146,6 @@ def recursion_step(a: XPoly, V: XPoly, W: XPoly, constant) -> XPoly:
     x-free part whenever the integrand has no 1/x obstruction (the integrand
     of a closing chain never does).
     """
-    ring = a.ring
-    if isinstance(constant, str):
-        constant = ring.param(constant)
     integrand = (
         -a.derivative(5)
         - 4 * V * a.derivative(3)
@@ -168,7 +154,7 @@ def recursion_step(a: XPoly, V: XPoly, W: XPoly, constant) -> XPoly:
         + 2 * a * W.derivative()
         + 4 * a.derivative() * W
     )
-    return integrand.antiderivative().scale(Fraction(1, 4)) + XPoly.const(ring, constant)
+    return xpoly_integrate(integrand.scale(Fraction(1, 4)), constant)
 
 
 @dataclass(frozen=True)

@@ -20,33 +20,30 @@ from fractions import Fraction
 from typing import Sequence
 
 from .scalars import ParamRing, PoleError
-from .weyl import XPoly, build_square_form
-from .chain import (
-    ChainError,
-    build_qchain,
-    extract_constraints,
-    solve_constants,
-    assemble_q,
-)
+from .weyl import XPoly
+from .chain import ChainError, recursion_step
 from .curve import (
+    PairSolution,
     SpectralCurve,
     UnboundParameterError,
     curve_is_singular,
     curve_structure,
     render_zpoly,
-    spectral_curve,
+    solve_pair,
 )
 from .families import (
     KINDS,
+    DegreeResult,
     FamilySpec,
     FamilySpecError,
+    attempt_degree,
     build_family,
+    dixmier_pair,
     run_family_verdict,
     thm1_monomial_step,
     thm2_monomial_step,
     thm3_monomial_step,
 )
-from .chain import recursion_step
 from .parsing import ExprError, parse_diffop, parse_xpoly
 
 
@@ -239,6 +236,11 @@ def job_from_args(args: argparse.Namespace) -> JobSpec:
     else:
         doc = _load_document(getattr(args, "infile", None))
         job.params = _split_params(doc.get("params"))
+        for key in ("V", "W", "L", "M"):
+            if doc.get(key) is not None and not isinstance(doc[key], str):
+                raise CliInputError(
+                    f"document key {key!r} must be an expression string, got {doc[key]!r}"
+                )
         job.v_text = doc.get("V")
         job.w_text = doc.get("W")
         job.l_text = doc.get("L")
@@ -250,6 +252,11 @@ def job_from_args(args: argparse.Namespace) -> JobSpec:
                     f"document key 'm' must be a positive integer, got {m_doc!r}"
                 )
             job.m = m_doc
+    undeclared = sorted(set(bindings) - set(job.params))
+    if undeclared:
+        raise CliInputError(
+            f"--bind names are not declared parameters: {', '.join(undeclared)}"
+        )
     return job
 
 
@@ -288,16 +295,18 @@ def _load_document(path: str | None) -> dict:
 # -- shared pipeline pieces ------------------------------------------------------
 
 
-def _potential_pair(job: JobSpec) -> tuple[ParamRing, XPoly, XPoly, dict]:
-    """(ring, V, W, echo-of-inputs) for family or explicit input."""
+def _family_echo(spec: FamilySpec) -> dict:
+    return {
+        "family": spec.kind,
+        "parameters": {k: str(v) for k, v in sorted(spec.parameters.items())},
+    }
+
+
+def _potential_pair(job: JobSpec) -> tuple[XPoly, XPoly, dict]:
+    """(V, W, echo-of-inputs) for family or explicit input."""
     if job.family is not None:
         ring, V, W = build_family(job.family)
-        echo = {
-            "family": job.family.kind,
-            "parameters": {k: str(v) for k, v in sorted(job.family.parameters.items(),
-                                                        key=lambda kv: kv[0])},
-        }
-        return ring, V, W, echo
+        return V, W, _family_echo(job.family)
     if job.v_text is None or job.w_text is None:
         raise CliInputError("need --family, or V and W (inline or in the document)")
     ring = ParamRing(job.params)
@@ -311,7 +320,7 @@ def _potential_pair(job: JobSpec) -> tuple[ParamRing, XPoly, XPoly, dict]:
         "V": str(V),
         "W": str(W),
     }
-    return ring, V, W, echo
+    return V, W, echo
 
 
 def _default_m(job: JobSpec) -> int:
@@ -320,6 +329,13 @@ def _default_m(job: JobSpec) -> int:
     if job.family is not None and isinstance(job.family.shape("g"), int):
         return job.family.shape("g")
     raise CliInputError("--m is required when the family does not fix g")
+
+
+def _solve_job(job: JobSpec) -> tuple[PairSolution, dict, int]:
+    """The pipeline result for the job's pair at its degree, plus echo and m."""
+    V, W, echo = _potential_pair(job)
+    m = _default_m(job)
+    return solve_pair(V, W, m, job.free_values), echo, m
 
 
 def _curve_block(curve: SpectralCurve) -> dict:
@@ -353,15 +369,34 @@ def _outcome_block(outcome) -> dict:
     }
 
 
+def _repeated_factors(curve: SpectralCurve) -> list[dict]:
+    return [
+        {"multiplicity": mult, "factor": render_zpoly(coeffs)}
+        for coeffs, mult in curve_structure(curve)
+        if mult >= 2
+    ]
+
+
+def _row_block(row: DegreeResult) -> dict:
+    return {
+        "m": row.degree,
+        "status": row.status,
+        "feasible": row.status != "infeasible",
+        "expected_feasible": row.expected,
+        "matches_expected": row.matches_expected,
+        "assignment": row.assignment,
+        "free": list(row.free),
+        "side_conditions": list(row.side_conditions),
+        "curve": _curve_block(row.curve) if row.curve else None,
+    }
+
+
 # -- subcommand implementations -----------------------------------------------------
 
 
 def _run_chain(job: JobSpec) -> tuple[int, dict]:
-    ring, V, W, echo = _potential_pair(job)
-    m = _default_m(job)
-    chain = build_qchain(V, W, m)
-    system = extract_constraints(chain)
-    outcome = solve_constants(system)
+    solution, echo, m = _solve_job(job)
+    chain = solution.chain
     report = {
         "command": "chain",
         "inputs": {**echo, "m": m},
@@ -373,136 +408,60 @@ def _run_chain(job: JobSpec) -> tuple[int, dict]:
                 {"index": i, "value": str(chain.entry(i))} for i in range(1, m + 2)
             ],
             "equations": [
-                {"x_power": eq.power, "equation": eq.render()} for eq in system.equations
+                {"x_power": eq.power, "equation": eq.render()}
+                for eq in solution.system.equations
             ],
-            "solve": _outcome_block(outcome),
+            "solve": _outcome_block(solution.outcome),
         },
     }
     return 0, report
 
 
-def _solved_curve(job: JobSpec):
-    ring, V, W, echo = _potential_pair(job)
-    m = _default_m(job)
-    chain = build_qchain(V, W, m)
-    outcome = solve_constants(extract_constraints(chain))
-    if not outcome.feasible:
-        return None, chain, outcome, echo, m
-    usable = {k: v for k, v in job.free_values.items() if k in outcome.free}
-    unknown = set(job.free_values) - set(usable)
-    if unknown:
-        raise CliInputError(
-            f"--free-const names are not free here: {', '.join(sorted(unknown))}"
-        )
-    Q = assemble_q(chain, outcome, usable)
-    return spectral_curve(Q, chain.V, chain.W), chain, outcome, echo, m
-
-
 def _run_curve(job: JobSpec) -> tuple[int, dict]:
-    curve, chain, outcome, echo, m = _solved_curve(job)
-    result = {"solve": _outcome_block(outcome)}
-    code = 1
-    if curve is not None:
-        result["curve"] = _curve_block(curve)
-        structure = curve_structure(curve)
-        result["repeated_factors"] = [
-            {"multiplicity": mult, "factor": render_zpoly(coeffs)}
-            for coeffs, mult in structure
-            if mult >= 2
-        ]
-        code = 0
+    solution, echo, m = _solve_job(job)
+    result = {"solve": _outcome_block(solution.outcome)}
+    if solution.curve is not None:
+        result["curve"] = _curve_block(solution.curve)
+        result["repeated_factors"] = _repeated_factors(solution.curve)
     report = {
         "command": "curve",
         "inputs": {**echo, "m": m, "free_const": {k: str(v) for k, v in sorted(job.free_values.items())}},
         "result": result,
     }
-    return code, report
-
-
-def _run_verdict_document(job: JobSpec) -> tuple[int, dict]:
-    """Probe an explicit (V, W) across degrees; verified = some degree closes."""
-    ring, V, W, echo = _potential_pair(job)
-    degrees = [job.m] if job.m is not None else list(range(1, job.g_bound + 1))
-    rows = []
-    any_feasible = False
-    for m in degrees:
-        chain = build_qchain(V, W, m)
-        outcome = solve_constants(extract_constraints(chain))
-        row = {
-            "m": m,
-            "status": outcome.status,
-            "feasible": outcome.feasible,
-            "expected_feasible": None,
-            "matches_expected": True,
-            "assignment": {k: str(v) for k, v in sorted(outcome.assignment.items())},
-            "free": list(outcome.free),
-            "side_conditions": [str(p) for p in outcome.side_conditions],
-            "curve": None,
-        }
-        if outcome.feasible:
-            any_feasible = True
-            usable = {k: v for k, v in job.free_values.items() if k in outcome.free}
-            Q = assemble_q(chain, outcome, usable)
-            row["curve"] = _curve_block(spectral_curve(Q, chain.V, chain.W))
-        rows.append(row)
-    report = {
-        "command": "verdict",
-        "inputs": {**echo, "m": job.m, "g_bound": job.g_bound},
-        "result": {"rows": rows, "identities": None, "verified": any_feasible},
-    }
-    return (0 if any_feasible else 1), report
+    return (1 if solution.curve is None else 0), report
 
 
 def _run_verdict(job: JobSpec) -> tuple[int, dict]:
     if job.family is None:
-        return _run_verdict_document(job)
-    verdict = run_family_verdict(
-        job.family, m=job.m, g_bound=job.g_bound, free_values=job.free_values
-    )
-    rows = []
-    for row in verdict.rows:
-        rows.append(
-            {
-                "m": row.degree,
-                "status": row.status,
-                "feasible": row.status != "infeasible",
-                "expected_feasible": row.expected,
-                "matches_expected": row.matches_expected,
-                "assignment": row.assignment,
-                "free": list(row.free),
-                "side_conditions": list(row.side_conditions),
-                "curve": _curve_block(row.curve) if row.curve else None,
-            }
-        )
+        # an explicit pair makes no claim: verified = some probed degree closes
+        V, W, echo = _potential_pair(job)
+        degrees = [job.m] if job.m is not None else range(1, job.g_bound + 1)
+        rows = [attempt_degree(V, W, m) for m in degrees]
+        identities = None
+        verified = any(row.status != "infeasible" for row in rows)
+    else:
+        verdict = run_family_verdict(job.family, m=job.m, g_bound=job.g_bound)
+        echo = _family_echo(job.family)
+        rows, identities, verified = verdict.rows, verdict.identities, verdict.verified
     report = {
         "command": "verdict",
-        "inputs": {
-            "family": job.family.kind,
-            "parameters": {k: str(v) for k, v in sorted(job.family.parameters.items(),
-                                                        key=lambda kv: kv[0])},
-            "m": job.m,
-            "g_bound": job.g_bound,
-        },
+        "inputs": {**echo, "m": job.m, "g_bound": job.g_bound},
         "result": {
-            "rows": rows,
-            "identities": verdict.identities,
-            "verified": verdict.verified,
+            "rows": [_row_block(row) for row in rows],
+            "identities": identities,
+            "verified": verified,
         },
     }
-    return (0 if verdict.verified else 1), report
+    return (0 if verified else 1), report
 
 
 def _run_commutator(job: JobSpec) -> tuple[int, dict]:
     if job.family is not None:
         if job.family.kind not in ("dixmier_rank2", "dixmier_rank3"):
             raise CliInputError("commutator --family expects dixmier_rank2 or dixmier_rank3")
-        from .families import dixmier_pair
-
         rank = 2 if job.family.kind == "dixmier_rank2" else 3
-        alpha = job.family.parameters.get("alpha")
-        L, M = dixmier_pair(rank, alpha)
-        echo = {"family": job.family.kind,
-                "parameters": {k: str(v) for k, v in sorted(job.family.parameters.items())}}
+        L, M = dixmier_pair(rank, job.family.parameters.get("alpha"))
+        echo = _family_echo(job.family)
     else:
         if job.l_text is None or job.m_text is None:
             raise CliInputError("commutator needs --family, or L and M expressions")
@@ -528,31 +487,24 @@ def _run_commutator(job: JobSpec) -> tuple[int, dict]:
 
 
 def _run_singular(job: JobSpec) -> tuple[int, dict]:
-    curve, chain, outcome, echo, m = _solved_curve(job)
-    inputs = {**echo, "m": m, "bind": {k: str(v) for k, v in sorted(job.bindings.items())}}
-    if curve is None:
-        report = {
-            "command": "singular",
-            "inputs": inputs,
-            "result": {"solve": _outcome_block(outcome), "curve": None, "singular": None},
-        }
-        return 1, report
-    # family-symbol bindings were already applied while building V and W;
-    # leftover bindings would be for parameters that are still symbolic here.
-    leftover = {k: v for k, v in job.bindings.items() if k in curve.free_params()}
-    verdict = curve_is_singular(curve, leftover)
-    bound_curve = curve.substitute_params(leftover) if leftover else curve
+    solution, echo, m = _solve_job(job)
+    # Every binding is applied to V and W before the chain is built, so the
+    # curve holds no bound name; curve_is_singular rejects any unbound one.
+    curve = solution.curve
+    result = {"solve": _outcome_block(solution.outcome), "curve": None, "singular": None}
+    if curve is not None:
+        verdict = curve_is_singular(curve)
+        result["curve"] = _curve_block(curve)
+        result["singular"] = verdict.singular
+        result["repeated_root_poly"] = (
+            render_zpoly(verdict.witness) if verdict.witness else None
+        )
     report = {
         "command": "singular",
-        "inputs": inputs,
-        "result": {
-            "solve": _outcome_block(outcome),
-            "curve": _curve_block(bound_curve),
-            "singular": verdict.singular,
-            "repeated_root_poly": render_zpoly(verdict.witness) if verdict.witness else None,
-        },
+        "inputs": {**echo, "m": m, "bind": {k: str(v) for k, v in sorted(job.bindings.items())}},
+        "result": result,
     }
-    return 0, report
+    return (1 if curve is None else 0), report
 
 
 def _run_scan(job: JobSpec) -> tuple[int, dict]:
@@ -577,40 +529,29 @@ def _run_scan(job: JobSpec) -> tuple[int, dict]:
         parameters = dict(job.family.parameters)
         if g is not None:
             parameters["g"] = g
-        spec = FamilySpec(job.family.kind, parameters)
+        ring, V, W = build_family(FamilySpec(job.family.kind, parameters))
         for m in range(job.m_range[0], job.m_range[1] + 1):
-            ring, V, W = build_family(spec)
-            chain = build_qchain(V, W, m)
-            outcome = solve_constants(extract_constraints(chain))
+            solution = solve_pair(V, W, m)
+            curve = solution.curve
             row: dict = {
                 "g": g,
                 "m": m,
-                "status": outcome.status,
-                "free": list(outcome.free),
+                "status": solution.outcome.status,
+                "free": list(solution.outcome.free),
+                "curve": None,
+                "repeated_factors": [],
+                "singular": None,
             }
-            if outcome.feasible:
-                Q = assemble_q(chain, outcome)
-                curve = spectral_curve(Q, chain.V, chain.W)
+            if curve is not None:
                 row["curve"] = str(curve)
-                row["repeated_factors"] = [
-                    {"multiplicity": mult, "factor": render_zpoly(coeffs)}
-                    for coeffs, mult in curve_structure(curve)
-                    if mult >= 2
-                ]
-                row["singular"] = (
-                    curve_is_singular(curve).singular if not curve.free_params() else None
-                )
-            else:
-                row["curve"] = None
-                row["repeated_factors"] = []
-                row["singular"] = None
+                row["repeated_factors"] = _repeated_factors(curve)
+                if not curve.free_params():
+                    row["singular"] = curve_is_singular(curve).singular
             rows.append(row)
     report = {
         "command": "scan",
         "inputs": {
-            "family": job.family.kind,
-            "parameters": {k: str(v) for k, v in sorted(job.family.parameters.items(),
-                                                        key=lambda kv: kv[0])},
+            **_family_echo(job.family),
             "g_range": list(job.g_range) if job.g_range else None,
             "m_range": list(job.m_range),
         },

@@ -10,6 +10,7 @@ primes denoting x-derivatives.  When Q certifies closure the right side is
 constant in x and F is monic of degree 2m + 1, the defining polynomial of a
 genus <= m hyperelliptic curve.  This module evaluates F exactly, decides
 singularity (a repeated root of F), and splits off repeated factors.
+``solve_pair`` runs the whole decision for one (V, W, m), from the chain to F.
 """
 
 from __future__ import annotations
@@ -19,8 +20,17 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .scalars import ParamRing, ParamScalar, RatLike
-from .weyl import XPoly
-from .chain import QPoly
+from .weyl import XPoly, dense_add
+from .chain import (
+    ConstraintSystem,
+    QChain,
+    QPoly,
+    SolveOutcome,
+    assemble_q,
+    build_qchain,
+    extract_constraints,
+    solve_constants,
+)
 
 
 class XDependenceError(ValueError):
@@ -129,6 +139,41 @@ def spectral_curve(Q: QPoly, V: XPoly, W: XPoly) -> SpectralCurve:
     return SpectralCurve(ring, tuple(coeffs))
 
 
+@dataclass(frozen=True)
+class PairSolution:
+    """Every stage of the closure decision for one (V, W, m).
+
+    Q and curve are None when the chain cannot close.
+    """
+
+    chain: QChain
+    system: ConstraintSystem
+    outcome: SolveOutcome
+    Q: QPoly | None
+    curve: SpectralCurve | None
+
+
+def solve_pair(
+    V: XPoly,
+    W: XPoly,
+    m: int,
+    free_values: Mapping[str, RatLike] | None = None,
+) -> PairSolution:
+    """Build the chain to degree m, solve its closing conditions, and when
+    they are feasible assemble Q and the spectral curve.
+
+    Free constants are 0 unless free_values sets them; naming a constant
+    that is not free raises ChainError.
+    """
+    chain = build_qchain(V, W, m)
+    system = extract_constraints(chain)
+    outcome = solve_constants(system)
+    if not outcome.feasible:
+        return PairSolution(chain, system, outcome, None, None)
+    Q = assemble_q(chain, outcome, free_values)
+    return PairSolution(chain, system, outcome, Q, spectral_curve(Q, chain.V, chain.W))
+
+
 # -- generic univariate arithmetic over a field ---------------------------------
 #
 # Coefficients are ParamScalar or Fraction; both support field operations and
@@ -181,17 +226,6 @@ def _gcd_monic(a: Sequence, b: Sequence) -> list:
     return _monic(a) if a else a
 
 
-def _mul(a: Sequence, b: Sequence) -> list:
-    if not a or not b:
-        return []
-    zero = a[0] * 0
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, ac in enumerate(a):
-        for j, bc in enumerate(b):
-            out[i + j] = out[i + j] + ac * bc
-    return _trim(out)
-
-
 def curve_is_singular(
     curve: SpectralCurve,
     bindings: Mapping[str, RatLike] | None = None,
@@ -235,25 +269,14 @@ def curve_structure(curve: SpectralCurve) -> tuple[tuple[tuple[ParamScalar, ...]
         return ((tuple(f), 1),)
     b, _ = _divmod(f, a0)
     c, _ = _divmod(fp, a0)
-    d = _sub(c, _deriv(b))
     factors = []
     i = 1
     while len(b) > 1:
+        d = _trim(dense_add(c, [-t for t in _deriv(b)]))
         a = _gcd_monic(b, d)
         if len(a) > 1:
             factors.append((tuple(a), i))
         b, _ = _divmod(b, a)
         c, _ = _divmod(d, a)
-        d = _sub(c, _deriv(b))
         i += 1
     return tuple(factors)
-
-
-def _sub(a: Sequence, b: Sequence) -> list:
-    if not a and not b:
-        return []
-    zero = (a[0] if a else b[0]) * 0
-    n = max(len(a), len(b))
-    av = list(a) + [zero] * (n - len(a))
-    bv = list(b) + [zero] * (n - len(b))
-    return _trim([x - y for x, y in zip(av, bv)])

@@ -26,12 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
-from typing import Mapping
 
 from .scalars import ParamRing, ParamScalar, RatLike
-from .weyl import DiffOp, XPoly, build_square_form
-from .chain import build_qchain, extract_constraints, solve_constants, assemble_q
-from .curve import SpectralCurve, spectral_curve
+from .weyl import DiffOp, XPoly
+from .curve import SpectralCurve, solve_pair
 
 KINDS = ("thm1", "thm2", "thm3", "mironov_x3", "dixmier_rank2", "dixmier_rank3")
 
@@ -371,32 +369,25 @@ class FamilyVerdict:
     verified: bool
 
 
-def _attempt_degree(
-    spec: FamilySpec,
-    degree: int,
-    free_values: Mapping[str, RatLike] | None,
+def attempt_degree(
+    V: XPoly, W: XPoly, degree: int, expected: bool | None = None
 ) -> DegreeResult:
-    ring, V, W = build_family(spec)
-    chain = build_qchain(V, W, degree)
-    outcome = solve_constants(extract_constraints(chain))
-    curve = None
-    if outcome.feasible:
-        usable = {
-            k: v for k, v in (free_values or {}).items() if k in outcome.free
-        }
-        Q = assemble_q(chain, outcome, usable)
-        curve = spectral_curve(Q, chain.V, chain.W)
-    expected = expected_feasible(spec, degree)
-    matches = True if expected is None else (outcome.feasible == expected)
+    """Try closure of (V, W) at one chain degree, free constants set to 0.
+
+    ``expected`` is the family's claim for this degree; None makes no claim,
+    as for an explicit pair.
+    """
+    solution = solve_pair(V, W, degree)
+    outcome = solution.outcome
     return DegreeResult(
         degree=degree,
         status=outcome.status,
         assignment={k: str(v) for k, v in sorted(outcome.assignment.items())},
         free=outcome.free,
         side_conditions=tuple(str(p) for p in outcome.side_conditions),
-        curve=curve,
+        curve=solution.curve,
         expected=expected,
-        matches_expected=matches,
+        matches_expected=expected is None or outcome.feasible == expected,
     )
 
 
@@ -404,7 +395,6 @@ def run_family_verdict(
     spec: FamilySpec,
     m: int | None = None,
     g_bound: int = 4,
-    free_values: Mapping[str, RatLike] | None = None,
 ) -> FamilyVerdict:
     """Check a family against its expected closure behavior.
 
@@ -436,7 +426,8 @@ def run_family_verdict(
         degrees = [m] if m is not None else list(range(1, g_bound + 1))
     else:
         degrees = [m if m is not None else _require_g(spec)]
-    rows = tuple(_attempt_degree(spec, d, free_values) for d in degrees)
+    ring, V, W = build_family(spec)
+    rows = tuple(attempt_degree(V, W, d, expected_feasible(spec, d)) for d in degrees)
     return FamilyVerdict(
         kind=spec.kind,
         rows=rows,

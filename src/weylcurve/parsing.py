@@ -9,8 +9,10 @@ Grammar (whitespace ignored):
     atom   := INT | NAME | '(' expr ')'
 
 NAME resolves to the reserved symbols x (the position variable) and D (the
-derivative), or to a declared ring parameter.  '^' binds tightest and takes
-nonnegative integer exponents; '/' only divides by parameter-level values.
+derivative), or to a declared ring parameter.  '^' binds tightest, is
+right-associative and takes nonnegative integer exponents; every exponent,
+and every partial value of an exponent tower, must be at most 10 000.  '/'
+only divides by parameter-level values.
 Everything is evaluated in the operator algebra and then narrowed, so one
 grammar serves all three value kinds.
 """
@@ -30,6 +32,8 @@ class ExprError(ValueError):
         self.pos = pos
         super().__init__(f"{message} (at position {pos} in {text!r})")
 
+
+_MAX_EXPONENT = 10_000
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(.))")
 
@@ -125,12 +129,15 @@ class _Parser:
             exponents.append((int(exp[1]), exp[2]))
         if not exponents:
             return value
-        # '^' is right-associative: a^b^c = a^(b^c)
-        total = exponents[-1][0]
-        for e, _ in reversed(exponents[:-1]):
-            total = e**total
-        if total > 10_000:
-            raise ExprError("exponent too large", self.text, exponents[0][1])
+        # a^b^c = a^(b^c); the cap is checked at every fold, so a tall tower
+        # fails before any huge power is computed.
+        total = 1
+        for e, _ in reversed(exponents):
+            if e > _MAX_EXPONENT or (total := e**total) > _MAX_EXPONENT:
+                raise ExprError("exponent too large", self.text, exponents[0][1])
+        p = _narrow_xpoly_or_none(value)
+        if p is not None:
+            return DiffOp.from_xpoly(p**total)  # square-and-multiply in x
         return value**total
 
     def atom(self) -> DiffOp:

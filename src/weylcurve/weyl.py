@@ -16,6 +16,32 @@ from typing import Iterable, Mapping
 from .scalars import ParamRing, ParamScalar, RatLike, _coerce_scalar
 
 
+def dense_add(a, b) -> list:
+    """Sum of two coefficient sequences, ascending in the variable; untrimmed."""
+    n = min(len(a), len(b))
+    return [x + y for x, y in zip(a, b)] + list(a[n:]) + list(b[n:])
+
+
+def dense_mul(a, b, zero) -> list:
+    """Product of two coefficient sequences, ascending in the variable; untrimmed.
+
+    Zero coefficients on either side are skipped, since the family potentials
+    are sparse; `zero` fills the slots no product reaches.
+    """
+    if not a or not b:
+        return []
+    right = [(j, y) for j, y in enumerate(b) if y]
+    out = [None] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in right:
+            term = x * y
+            acc = out[i + j]
+            out[i + j] = term if acc is None else acc + term
+    return [zero if c is None else c for c in out]
+
+
 class XPoly:
     """Dense polynomial in x over the parameter scalars; index = power of x."""
 
@@ -100,11 +126,7 @@ class XPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return XPoly(
-            self.ring,
-            [self.coefficient(i) + other.coefficient(i) for i in range(n)],
-        )
+        return XPoly(self.ring, dense_add(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
@@ -129,15 +151,7 @@ class XPoly:
         if not isinstance(other, XPoly):
             return NotImplemented
         self._same_ring(other)
-        if self.is_zero() or other.is_zero():
-            return XPoly.zero(self.ring)
-        out = [self.ring.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return XPoly(self.ring, out)
+        return XPoly(self.ring, dense_mul(self.coeffs, other.coeffs, self.ring.zero()))
 
     __rmul__ = __mul__
 
@@ -330,11 +344,7 @@ class DiffOp:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return DiffOp(
-            self.ring,
-            [self.coefficient(i) + other.coefficient(i) for i in range(n)],
-        )
+        return DiffOp(self.ring, dense_add(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 

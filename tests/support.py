@@ -4,16 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from weylcurve import (
-    FamilySpec,
-    SpectralCurve,
-    assemble_q,
-    build_family,
-    build_qchain,
-    extract_constraints,
-    solve_constants,
-    spectral_curve,
-)
+from weylcurve import FamilySpec, SpectralCurve, build_family, build_qchain, solve_pair
 
 
 def family_chain(kind, params, m):
@@ -25,25 +16,12 @@ def family_chain(kind, params, m):
 def solved_family(kind, params, m, free_values=None):
     """(chain, outcome, Q, curve) for a family solved at target degree m.
 
-    Free constants default to zero; raises if the solve is infeasible.
+    Free constants default to zero; Q and curve are None if the solve is
+    infeasible.
     """
-    chain = family_chain(kind, params, m)
-    outcome = solve_constants(extract_constraints(chain))
-    Q = assemble_q(chain, outcome, free_values)
-    curve = spectral_curve(Q, chain.V, chain.W)
-    return chain, outcome, Q, curve
-
-
-def zpoly_mul(ring, *factors):
-    """Product of z-polynomials given as ascending ParamScalar coefficient lists."""
-    out = [ring.one()]
-    for f in factors:
-        acc = [ring.zero()] * (len(out) + len(f) - 1)
-        for i, a in enumerate(out):
-            for j, b in enumerate(f):
-                acc[i + j] = acc[i + j] + a * b
-        out = acc
-    return out
+    ring, V, W = build_family(FamilySpec(kind, params))
+    solution = solve_pair(V, W, m, free_values)
+    return solution.chain, solution.outcome, solution.Q, solution.curve
 
 
 def curve_equals(curve: SpectralCurve, coeffs) -> bool:

@@ -24,8 +24,9 @@ from weylcurve import (
     thm2_monomial_step,
     thm3_monomial_step,
 )
+from weylcurve.weyl import dense_mul
 
-from support import family_chain, solved_family, zpoly_mul
+from support import family_chain, solved_family
 
 
 def _line(n: int, text: str) -> None:
@@ -37,11 +38,7 @@ def test_criterion_01_x6_family_base_curve():
     ring = curve.ring
     a2 = ring.param("A2")
     a6 = ring.param("A6")
-    expected = zpoly_mul(
-        ring,
-        [16 * a2, ring.one()],
-        [192 * a6, 16 * a2, ring.one()],
-    )
+    expected = dense_mul([16 * a2, ring.one()], [192 * a6, 16 * a2, ring.one()], ring.zero())
     assert outcome.status == "unique"
     assert curve.coeffs == tuple(expected)
     _line(1, "V=A6x^6+A2x^2, m=g=1: F = (z+16A2)(z^2+16A2z+192A6), exact")
@@ -51,11 +48,10 @@ def test_criterion_02_x6_family_g3_even_curve():
     _, outcome, _, curve = solved_family("thm1", {"g": 3, "A2": 0}, 3)
     ring = curve.ring
     a6 = ring.param("A6")
-    expected = zpoly_mul(
-        ring,
-        [ring.zero(), ring.one()],
-        [288000 * a6, ring.zero(), ring.one()],
+    expected = dense_mul(
+        dense_mul([ring.zero(), ring.one()], [288000 * a6, ring.zero(), ring.one()], ring.zero()),
         [273715200 * a6**2, ring.zero(), 289152 * a6, ring.zero(), ring.one()],
+        ring.zero(),
     )
     assert outcome.status == "unique"
     assert curve.coeffs == tuple(expected)
@@ -81,11 +77,11 @@ def test_criterion_04_x4_family_g3_odd_curve():
     _, outcome, _, curve = solved_family("thm2", {"g": 3, "A2": 0, "A0": 0}, 3)
     ring = curve.ring
     a4 = ring.param("A4")
-    expected = zpoly_mul(
-        ring,
+    expected = dense_mul(
         [ring.zero(), ring.one()],
         [3382560000 * a4**4, ring.zero(), ring.zero(), 117216 * a4**2,
          ring.zero(), ring.zero(), ring.one()],
+        ring.zero(),
     )
     assert outcome.status == "unique"
     assert curve.coeffs == tuple(expected)

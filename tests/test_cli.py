@@ -261,6 +261,30 @@ def test_input_errors_exit_2(capsys):
     code, _, err = run_cli(["verdict"], capsys, stdin="{not json")
     assert code == 2
     assert "line" in err
+    # a document field that is not an expression string
+    code, _, err = run_cli(["curve"], capsys, stdin=json.dumps({"V": 5, "W": "x", "m": 1}))
+    assert code == 2
+    assert "'V'" in err
+    # a binding for a name that --params does not declare
+    code, _, err = run_cli(
+        ["curve", "--params", "A", "--V", "A*x^4", "--W", "8*A*x^2", "--m", "1",
+         "--bind", "B=1"],
+        capsys,
+    )
+    assert code == 2
+    assert "B" in err
+    # an exponent tower past the cap fails fast instead of computing 9^9^9
+    code, _, err = run_cli(
+        ["curve", "--params", "", "--V", "x^9^9^9", "--W", "x", "--m", "1"], capsys
+    )
+    assert code == 2
+    assert "exponent too large" in err
+    # a --free-const that is not free in the solved chain
+    code, _, err = run_cli(
+        ["curve", "--family", "thm1", "--g", "1", "--m", "1", "--free-const", "C1=1"], capsys
+    )
+    assert code == 2
+    assert "C1" in err
     # unknown family is rejected at argument parsing, also with code 2
     with pytest.raises(SystemExit) as exc:
         main(["verdict", "--family", "thm9"])

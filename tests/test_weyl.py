@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 
 from weylcurve import (
     DiffOp,
+    ExprError,
     FamilySpec,
     ParamRing,
     XPoly,
     build_family,
     build_square_form,
     dixmier_pair,
+    parse_diffop,
+    parse_xpoly,
     xpoly_integrate,
 )
 
@@ -171,3 +174,19 @@ def test_apply_respects_composition(a, b):
     ring = _RING
     f = XPoly.x(ring) ** 2 + 3
     assert (a * b).apply(f) == a.apply(b.apply(f))
+
+
+def test_parse_powers_and_exponent_cap():
+    ring = ParamRing(("A",))
+    x, d = _xops(ring)
+    # an order-0 base is raised in x; the value matches repeated composition
+    assert parse_xpoly(ring, "(x + 3)^32") == (x + 3) ** 32
+    assert parse_diffop(ring, "(A*x - 1)^5") == DiffOp.from_xpoly(x.scale(ring.param("A")) - 1) ** 5
+    assert parse_diffop(ring, "(D + x)^3") == (d + x) ** 3
+    assert parse_xpoly(ring, "x^2^3") == x**8
+    assert parse_xpoly(ring, "(0*x)^0") == 1
+    assert parse_xpoly(ring, "x^10000").degree == 10000
+    # the cap holds at every step of a tower, before any power is computed
+    for text in ("x^10001", "x^2^14", "x^9^9^9", "x^0^9^9^9"):
+        with pytest.raises(ExprError, match="exponent too large"):
+            parse_xpoly(ring, text)
