@@ -52,10 +52,6 @@ class QPoly:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def zero(cls, ring: ParamRing) -> "QPoly":
-        return cls(ring)
-
-    @classmethod
     def from_xpoly(cls, p: XPoly) -> "QPoly":
         return cls(p.ring, [p])
 
@@ -220,12 +216,6 @@ class LinearEquation:
     coeffs: tuple[tuple[str, ParamScalar], ...]
     constant: ParamScalar
 
-    def scalar(self, ring: ParamRing) -> ParamScalar:
-        total = self.constant
-        for name, c in self.coeffs:
-            total = total + c * ring.param(name)
-        return total
-
     def render(self) -> str:
         lhs = " + ".join(f"({c})*{name}" for name, c in self.coeffs)
         if not lhs:
@@ -324,7 +314,6 @@ def solve_constants(system: ConstraintSystem) -> SolveOutcome:
     ring = system.ring
     order = {name: i for i, name in enumerate(system.unknowns)}
     assignment: dict[str, ParamScalar] = {}
-    pinned: list[str] = []
     side: list[ParamPoly] = []
 
     def substitute_known(eq: LinearEquation) -> tuple[dict[str, ParamScalar], ParamScalar]:
@@ -355,18 +344,8 @@ def solve_constants(system: ConstraintSystem) -> SolveOutcome:
         for name, c in live.items():
             value = value - (c / coeff) * ring.param(name)
         assignment[pivot] = value
-        pinned.append(pivot)
 
     # Back-substitute so pinned values only mention genuinely free constants.
-    for name in reversed(pinned):
-        value = assignment[name]
-        updates = {
-            other: assignment[other]
-            for other in value.free_params()
-            if other in assignment and other != name
-        }
-        if updates:
-            assignment[name] = value.substitute(updates)
     changed = True
     while changed:
         changed = False

@@ -436,6 +436,10 @@ def _run_verdict(job: JobSpec) -> tuple[int, dict]:
         # an explicit pair makes no claim: verified = some probed degree closes
         V, W, echo = _potential_pair(job)
         degrees = [job.m] if job.m is not None else range(1, job.g_bound + 1)
+        if not degrees:
+            raise CliInputError(
+                f"--g-bound {job.g_bound} leaves no degree to probe; it must be >= 1"
+            )
         rows = [attempt_degree(V, W, m) for m in degrees]
         identities = None
         verified = any(row.status != "infeasible" for row in rows)

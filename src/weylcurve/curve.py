@@ -9,8 +9,12 @@ commuting operator M of order 4m + 2 satisfies M^2 = F(L) with
 primes denoting x-derivatives.  When Q certifies closure the right side is
 constant in x and F is monic of degree 2m + 1, the defining polynomial of a
 genus <= m hyperelliptic curve.  This module evaluates F exactly, decides
-singularity (a repeated root of F), and splits off repeated factors.
-``solve_pair`` runs the whole decision for one (V, W, m), from the chain to F.
+singularity (a repeated root of F), and splits off repeated factors.  Both
+singularity questions clear F of parameter denominators and treat z as one
+more ring variable, so they run on ``mpoly_gcd`` and exact division alone:
+Yun's squarefree algorithm in Q[params][z], with factors made monic over
+Q(params) at the end.  ``solve_pair`` runs the whole decision for one
+(V, W, m), from the chain to F.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .scalars import ParamRing, ParamScalar, RatLike
-from .weyl import XPoly, dense_add
+from .scalars import ParamPoly, ParamRing, ParamScalar, RatLike, mpoly_gcd
+from .weyl import XPoly
 from .chain import (
     ConstraintSystem,
     QChain,
@@ -174,56 +178,43 @@ def solve_pair(
     return PairSolution(chain, system, outcome, Q, spectral_curve(Q, chain.V, chain.W))
 
 
-# -- generic univariate arithmetic over a field ---------------------------------
-#
-# Coefficients are ParamScalar or Fraction; both support field operations and
-# truthiness.  Lists are ascending in z and trimmed.
+# -- singularity analysis in Q[params][z] ------------------------------------
 
 
-def _trim(cs: list) -> list:
-    while cs and not cs[-1]:
-        cs.pop()
-    return cs
+def _lift(curve: SpectralCurve) -> ParamPoly:
+    """F times the lcm of its coefficient denominators, z as the last variable."""
+    ring = curve.ring
+    zname = "z_"
+    while zname in ring:
+        zname += "_"
+    lcm = ring.poly_one()
+    for c in curve.coeffs:
+        lcm = lcm * c.den.exact_div(mpoly_gcd(lcm, c.den))
+    terms = {}
+    for power, c in enumerate(curve.coeffs):
+        for exp, coeff in (c.num * lcm.exact_div(c.den)).terms.items():
+            terms[exp + (power,)] = coeff
+    return ParamPoly(ring.extend([zname]), terms)
 
 
-def _deriv(cs: Sequence) -> list:
-    return _trim([(i + 1) * cs[i + 1] for i in range(len(cs) - 1)])
+def _z_degree(p: ParamPoly) -> int:
+    return max(exp[-1] for exp in p.terms)
 
 
-def _divmod(a: Sequence, b: Sequence) -> tuple[list, list]:
-    b = _trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = _trim(list(a))
-    lead = b[-1]
-    db = len(b) - 1
-    if len(rem) - 1 < db:
-        return [], rem
-    zero = lead * 0
-    quot = [zero] * (len(rem) - db)
-    while rem and len(rem) - 1 >= db:
-        shift = len(rem) - 1 - db
-        factor = rem[-1] / lead
-        quot[shift] = factor
-        for i, bc in enumerate(b):
-            rem[shift + i] = rem[shift + i] - factor * bc
-        rem.pop()
-        _trim(rem)
-    return _trim(quot), rem
+def _dz(p: ParamPoly) -> ParamPoly:
+    return ParamPoly(
+        p.ring,
+        {exp[:-1] + (exp[-1] - 1,): exp[-1] * c for exp, c in p.terms.items() if exp[-1]},
+    )
 
 
-def _monic(cs: Sequence) -> list:
-    lead = cs[-1]
-    return [c / lead for c in cs]
-
-
-def _gcd_monic(a: Sequence, b: Sequence) -> list:
-    a = _trim(list(a))
-    b = _trim(list(b))
-    while b:
-        _, r = _divmod(a, b)
-        a, b = b, r
-    return _monic(a) if a else a
+def _monic_coeffs(p: ParamPoly, ring: ParamRing) -> tuple[ParamScalar, ...]:
+    """Ascending z-coefficients of p over `ring`, divided by the leading one."""
+    parts: list[dict] = [{} for _ in range(_z_degree(p) + 1)]
+    for exp, coeff in p.terms.items():
+        parts[exp[-1]][exp[:-1]] = coeff
+    polys = [ParamPoly(ring, terms) for terms in parts]
+    return tuple(ParamScalar(c, polys[-1]) for c in polys)
 
 
 def curve_is_singular(
@@ -238,11 +229,12 @@ def curve_is_singular(
         raise UnboundParameterError(
             f"cannot decide singularity with unbound parameters: {', '.join(unbound)}"
         )
-    f = [c.numeric_value() for c in bound.coeffs]
-    g = _gcd_monic(f, _deriv(f))
-    if len(g) <= 1:
+    f = _lift(bound)
+    g = mpoly_gcd(f, _dz(f))
+    if _z_degree(g) == 0:
         return SingularityReport(singular=False, witness=None)
-    return SingularityReport(singular=True, witness=tuple(g))
+    witness = tuple(c.numeric_value() for c in _monic_coeffs(g, bound.ring))
+    return SingularityReport(singular=True, witness=witness)
 
 
 @dataclass(frozen=True)
@@ -260,23 +252,23 @@ def curve_structure(curve: SpectralCurve) -> tuple[tuple[tuple[ParamScalar, ...]
     multiplicity; the decomposition is exact for the symbolic coefficients as
     given (specializing parameters can merge roots further).
     """
-    f = list(curve.coeffs)
-    if len(f) <= 1:
+    if curve.degree == 0:
         return ()
-    fp = _deriv(f)
-    a0 = _gcd_monic(f, fp)
-    if len(a0) <= 1:
-        return ((tuple(f), 1),)
-    b, _ = _divmod(f, a0)
-    c, _ = _divmod(fp, a0)
+    f = _lift(curve)
+    fp = _dz(f)
+    a0 = mpoly_gcd(f, fp)
+    if _z_degree(a0) == 0:
+        return ((curve.coeffs, 1),)
+    b = f.exact_div(a0)
+    c = fp.exact_div(a0)
     factors = []
     i = 1
-    while len(b) > 1:
-        d = _trim(dense_add(c, [-t for t in _deriv(b)]))
-        a = _gcd_monic(b, d)
-        if len(a) > 1:
-            factors.append((tuple(a), i))
-        b, _ = _divmod(b, a)
-        c, _ = _divmod(d, a)
+    while _z_degree(b) > 0:
+        d = c - _dz(b)
+        a = mpoly_gcd(b, d)
+        if _z_degree(a) > 0:
+            factors.append((_monic_coeffs(a, curve.ring), i))
+        b = b.exact_div(a)
+        c = d.exact_div(a)
         i += 1
     return tuple(factors)

@@ -426,6 +426,8 @@ def run_family_verdict(
         degrees = [m] if m is not None else list(range(1, g_bound + 1))
     else:
         degrees = [m if m is not None else _require_g(spec)]
+    if not degrees:
+        raise FamilySpecError(f"g_bound {g_bound} leaves no degree to probe; it must be >= 1")
     ring, V, W = build_family(spec)
     rows = tuple(attempt_degree(V, W, d, expected_feasible(spec, d)) for d in degrees)
     return FamilyVerdict(

@@ -84,11 +84,6 @@ class XPoly:
             return self.coeffs[power]
         return self.ring.zero()
 
-    def leading_coeff(self) -> ParamScalar:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

@@ -285,6 +285,20 @@ def test_input_errors_exit_2(capsys):
     )
     assert code == 2
     assert "C1" in err
+    # a verdict that would probe no degree proves nothing either way
+    code, _, err = run_cli(
+        ["verdict", "--family", "thm3", "--n", "5", "--b-mult", "1", "--g-bound", "0"], capsys
+    )
+    assert code == 2
+    assert err.startswith("error:") and "no degree" in err
+    code, _, err = run_cli(
+        ["verdict", "--params", "", "--V", "x^4", "--W", "8*x^2", "--g-bound", "0"], capsys
+    )
+    assert code == 2
+    assert err.startswith("error:") and "no degree" in err
+    # the g-indexed families probe degree g whatever the bound
+    code, _, _ = run_cli(["verdict", "--family", "thm1", "--g", "2", "--g-bound", "0"], capsys)
+    assert code == 0
     # unknown family is rejected at argument parsing, also with code 2
     with pytest.raises(SystemExit) as exc:
         main(["verdict", "--family", "thm9"])
@@ -307,3 +321,36 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["is_zero"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--family", "thm2", "--g", "2"],
+        ["--family", "mironov_x3", "--g", "2"],
+        ["--family", "thm3", "--n", "4", "--b-mult", "1", "--m", "3"],
+    ],
+)
+def test_repeated_factors_match_sympy(argv, capsys):
+    sympy = pytest.importorskip("sympy")
+    code, out, _ = run_cli(["curve", *argv], capsys)
+    assert code == 0
+    result = json.loads(out)["result"]
+    z = sympy.Symbol("z")
+
+    def expr(text):
+        return sympy.sympify(text.replace("^", "**"), locals={"z": z})
+
+    def monic(p):
+        return sympy.cancel(p / sympy.Poly(p, z).LC())
+
+    # group sympy's z-dependent factors by multiplicity, over Q(params)
+    _, parts = sympy.sqf_list(expr(result["curve"]["pretty"]), z)
+    expected: dict[int, object] = {}
+    for factor, mult in parts:
+        if sympy.degree(factor, z) > 0:
+            expected[mult] = expected.get(mult, 1) * factor
+    reported = {row["multiplicity"]: expr(row["factor"]) for row in result["repeated_factors"]}
+    assert set(reported) == {mult for mult in expected if mult >= 2}
+    for mult, factor in reported.items():
+        assert sympy.cancel(factor - monic(expected[mult])) == 0

@@ -133,17 +133,28 @@ def test_structure_symbolic_square():
     assert tuple(rebuilt) == curve.coeffs
 
 
+ROOT_RING = ParamRing(("A", "B"))
+_A, _B = ROOT_RING.param("A"), ROOT_RING.param("B")
+# roots with parameter denominators make the lift clear them by their lcm
+SYMBOLIC_ROOTS = (-1 / _A, _B / (_A + 1), _A * _B / (_B - 2))
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(-6, 6), min_size=3, max_size=5), st.integers(1, 3))
-def test_structure_multiplies_back(roots, extra_mult):
-    ring = ParamRing(())
-    factors = [[ring.const(-r), ring.one()] for r in roots]
-    factors += [[ring.const(-roots[0]), ring.one()]] * (extra_mult - 1)
+@given(
+    st.one_of(st.integers(-6, 6).map(ROOT_RING.const), st.sampled_from(SYMBOLIC_ROOTS)),
+    st.lists(st.integers(-6, 6).map(ROOT_RING.const), min_size=2, max_size=4),
+    st.integers(1, 3),
+)
+def test_structure_multiplies_back(first, rest, extra_mult):
+    ring = ROOT_RING
+    roots = [first, *rest]
+    factors = [[-r, ring.one()] for r in roots]
+    factors += [[-roots[0], ring.one()]] * (extra_mult - 1)
     coeffs = [ring.one()]
     for f in factors:
         coeffs = dense_mul(coeffs, f, ring.zero())
     if len(coeffs) % 2 == 0:  # keep the degree odd as the constructor demands
-        coeffs = dense_mul(coeffs, [ring.const(-roots[-1]), ring.one()], ring.zero())
+        coeffs = dense_mul(coeffs, [-roots[-1], ring.one()], ring.zero())
     curve = SpectralCurve(ring, tuple(coeffs))
     rebuilt = [ring.one()]
     for f, mult in curve_structure(curve):
