@@ -421,17 +421,30 @@ def assemble_q(
 
 
 def residual_eq2(Q: QPoly, V: XPoly, W: XPoly) -> QPoly:
-    """Left side of the commutation identity; zero iff Q certifies closure."""
+    """Left side of the commutation identity; zero iff Q certifies closure.
+
+    It is linear in Q = sum_k a_k z^k: the z^k coefficient is
+
+        a_k''''' + 4 V a_k''' + 6 V' a_k'' + 2 (V'' - 2 W) a_k' - 2 W' a_k
+        + 4 a_(k-1)',
+
+    four x-products per coefficient against the sparse V and W terms.
+    """
     ring = Q.ring
     V = V.lift(ring)
     W = W.lift(ring)
-    two_z_term = Q.dx().times_z().scale_x(4)
-    rest = Q.dx().scale_x(W * (-2) + V.derivative(2)).scale_x(2)
-    return (
-        Q.dx(5)
-        + Q.dx(3).scale_x(4 * V)
-        + Q.dx(2).scale_x(6 * V.derivative())
-        + two_z_term
-        + rest
-        + Q.scale_x(W.derivative() * (-2))
-    )
+    four_v = V.scale(4)
+    six_dv = V.derivative().scale(6)
+    first = (V.derivative(2) - W.scale(2)).scale(2)
+    zeroth = W.derivative().scale(-2)
+    out = []
+    below = XPoly.zero(ring)  # 4 a_(k-1)'
+    for a in Q.coeffs + (XPoly.zero(ring),):
+        d1 = a.derivative()
+        d2 = d1.derivative()
+        d3 = d2.derivative()
+        out.append(
+            d3.derivative(2) + four_v * d3 + six_dv * d2 + first * d1 + zeroth * a + below
+        )
+        below = d1.scale(4)
+    return QPoly(ring, out)

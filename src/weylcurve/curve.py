@@ -8,23 +8,30 @@ commuting operator M of order 4m + 2 satisfies M^2 = F(L) with
 
 primes denoting x-derivatives.  When Q certifies closure the right side is
 constant in x and F is monic of degree 2m + 1, the defining polynomial of a
-genus <= m hyperelliptic curve.  This module evaluates F exactly, decides
-singularity (a repeated root of F), and splits off repeated factors.  Both
-singularity questions clear F of parameter denominators and treat z as one
-more ring variable, so they run on ``mpoly_gcd`` and exact division alone:
-Yun's squarefree algorithm in Q[params][z], with factors made monic over
-Q(params) at the end.  ``solve_pair`` runs the whole decision for one
-(V, W, m), from the chain to F.
+genus <= m hyperelliptic curve.
+
+The x-derivative of the right side is 2 Q R with R the closure residual
+``residual_eq2(Q, V, W)``, so F is evaluated exactly by checking R = 0 and
+then reading the formula off at x = 0; the expansion in x is never built.
+The module also decides singularity (a repeated root of F) and splits off
+repeated factors.  Both singularity questions clear F of parameter
+denominators and treat z as one more ring variable, so they run on
+``mpoly_gcd`` and exact division alone: Yun's squarefree algorithm in
+Q[params][z], with factors made monic over Q(params) at the end.
+``solve_pair`` runs the whole decision for one (V, W, m), from the chain
+to F.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from math import factorial
 from typing import Mapping, Sequence
 
 from .scalars import ParamPoly, ParamRing, ParamScalar, RatLike, mpoly_gcd
-from .weyl import XPoly
+from .weyl import XPoly, dense_add, dense_mul
 from .chain import (
     ConstraintSystem,
     QChain,
@@ -33,6 +40,7 @@ from .chain import (
     assemble_q,
     build_qchain,
     extract_constraints,
+    residual_eq2,
     solve_constants,
 )
 
@@ -112,35 +120,60 @@ def render_zpoly(coeffs: Sequence) -> str:
 def spectral_curve(Q: QPoly, V: XPoly, W: XPoly) -> SpectralCurve:
     """Evaluate F(z) from a closing polynomial Q.
 
-    Raises XDependenceError when the expression is not constant in x, which
-    happens exactly when Q does not certify closure.
+    Write E = 4 F for the right side of the module formula and R for
+    ``residual_eq2(Q, V, W)``.  Differentiating E in x, the V' Q'^2,
+    V Q' Q'', Q'' Q''' and Q' Q'''' terms cancel in pairs, which leaves
+
+      dE/dx = 2 Q (Q''''' + 4 V Q''' + 6 V' Q'' + 2 Q' (2z - 2W + V'')
+                   - 2 W' Q) = 2 Q R,
+
+    so E is a first integral of the closure equation (Burchnall-Chaundy;
+    Krichever-Novikov).  R = 0 proves exactly that E is free of x, and E
+    then equals its value at x = 0.  With the z-polynomials Q_k = Q^(k)(0)
+    and V_0 = V(0), V_1 = V'(0), W_0 = W(0),
+
+      E(0) = 4 (z - W_0) Q_0^2 - 4 V_0 Q_1^2 + Q_2^2 - 2 Q_1 Q_3
+             + 2 Q_0 (2 V_1 Q_1 + 4 V_0 Q_2 + Q_4),
+
+    six products of z-polynomials instead of the full expansion in x.
+    When R != 0, E = E(0) + Integral_0^x 2 Q R dx, and XDependenceError
+    reports that x-polynomial for every z-power where it is not constant;
+    this happens exactly when Q does not certify closure.
     """
     ring = Q.ring
     V = V.lift(ring)
     W = W.lift(ring)
-    q1 = Q.dx()
-    q2 = Q.dx(2)
-    q3 = Q.dx(3)
-    q4 = Q.dx(4)
-    zW = Q.times_z() - Q.scale_x(W)
-    four_f = (
-        (zW * Q).scale_x(4)
-        - (q1 * q1).scale_x(4 * V)
-        + q2 * q2
-        - (q1 * q3).scale_x(2)
-        + (Q * (q1.scale_x(2 * V.derivative()) + q2.scale_x(4 * V) + q4)).scale_x(2)
+    R = residual_eq2(Q, V, W)
+    zero = ring.zero()
+    q0, q1, q2, q3, q4 = (
+        [c.coefficient(k) * factorial(k) for c in Q.coeffs] for k in range(5)
     )
-    offenders: dict[int, XPoly] = {}
-    coeffs: list[ParamScalar] = []
-    for power in range((four_f.z_degree or 0) + 1):
-        c = four_f.coefficient(power)
-        if c.is_constant():
-            coeffs.append(c.constant_value() / 4)
-        else:
-            offenders[power] = c
-    if offenders:
+    V0, V1, W0 = V.coefficient(0), V.coefficient(1), W.coefficient(0)
+    inner = dense_add(dense_add(_scaled(q1, 2 * V1), _scaled(q2, 4 * V0)), q4)
+    four_f = reduce(
+        dense_add,
+        (
+            dense_mul([-4 * W0, ring.const(4)], dense_mul(q0, q0, zero), zero),
+            _scaled(dense_mul(q1, q1, zero), -4 * V0),
+            dense_mul(q2, q2, zero),
+            _scaled(dense_mul(q1, q3, zero), -2),
+            _scaled(dense_mul(q0, inner, zero), 2),
+        ),
+    )
+    if not R.is_zero():
+        offenders = {}
+        for power, slope in enumerate((Q * R).coeffs):
+            if slope:
+                start = four_f[power] if power < len(four_f) else zero
+                offenders[power] = (slope * 2).antiderivative() + start
         raise XDependenceError(offenders)
-    return SpectralCurve(ring, tuple(coeffs))
+    while four_f and not four_f[-1]:
+        four_f.pop()
+    return SpectralCurve(ring, tuple(c / 4 for c in four_f))
+
+
+def _scaled(seq: Sequence[ParamScalar], factor) -> list[ParamScalar]:
+    return [c * factor for c in seq]
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ class ParamRing:
     order; values constructed over different rings never mix silently.
     """
 
-    __slots__ = ("names", "_index")
+    __slots__ = ("names", "_index", "_zero_exp")
 
     def __init__(self, names: Iterable[str] = ()):
         names = tuple(names)
@@ -56,6 +56,7 @@ class ParamRing:
             raise ValueError(f"duplicate parameter names in {names!r}")
         self.names = names
         self._index = {name: i for i, name in enumerate(names)}
+        self._zero_exp = (0,) * len(names)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -94,7 +95,7 @@ class ParamRing:
         value = Fraction(value)
         if not value:
             return self.poly_zero()
-        return ParamPoly._raw(self, {(0,) * len(self.names): value})
+        return ParamPoly._raw(self, {self._zero_exp: value})
 
     def poly_one(self) -> "ParamPoly":
         return self.poly_const(1)
@@ -169,10 +170,12 @@ class ParamPoly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(not any(exp) for exp in self.terms)
+        terms = self.terms
+        return not terms or (len(terms) == 1 and self.ring._zero_exp in terms)
 
     def is_one(self) -> bool:
-        return self.is_constant() and self.constant_value() == 1
+        terms = self.terms
+        return len(terms) == 1 and terms.get(self.ring._zero_exp) == 1
 
     def constant_value(self) -> Fraction:
         if not self.terms:
@@ -361,23 +364,33 @@ class ParamPoly:
     # -- substitution ------------------------------------------------------------
 
     def substitute(self, bindings: Mapping[str, "RatLike | ParamScalar"]) -> "ParamScalar":
-        """Bind some parameters to values; unbound parameters survive."""
+        """Bind some parameters to values; unbound parameters survive.
+
+        Terms are grouped by their exponents in the bound parameters, so each
+        group costs one scalar product: (its unbound part) * prod value_i^e_i.
+        """
         ring = self.ring
         for name in bindings:
             ring.index(name)  # reject unknown names early
-        out = ring.zero()
         values: dict[int, ParamScalar] = {}
         for name, value in bindings.items():
             values[ring.index(name)] = _coerce_scalar(ring, value)
-        for exp in sorted(self.terms, key=_grlex_key, reverse=True):
-            term = ring.const(self.terms[exp])
-            for i, e in enumerate(exp):
-                if not e:
-                    continue
-                base = values.get(i)
-                if base is None:
-                    base = ring.param(ring.names[i])
-                term = term * base**e
+        bound = sorted(values)
+        groups: dict[tuple[int, ...], dict] = {}
+        for exp, coeff in self.terms.items():
+            rest = list(exp)
+            for i in bound:
+                rest[i] = 0
+            groups.setdefault(tuple(exp[i] for i in bound), {})[tuple(rest)] = coeff
+        powers: dict[tuple[int, int], ParamScalar] = {}
+        out = ring.zero()
+        for key, terms in groups.items():
+            term = ParamPoly._raw(ring, terms).as_scalar()
+            for i, e in zip(bound, key):
+                if e:
+                    if (i, e) not in powers:
+                        powers[i, e] = values[i] ** e
+                    term = term * powers[i, e]
             out = out + term
         return out
 

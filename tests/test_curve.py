@@ -15,6 +15,7 @@ from weylcurve import (
     curve_is_singular,
     curve_structure,
     render_zpoly,
+    residual_eq2,
     spectral_curve,
 )
 from weylcurve.chain import QPoly
@@ -64,6 +65,82 @@ def test_x_dependence_is_an_error_with_offenders():
         spectral_curve(Q, V, V)
     assert err.value.offenders  # the non-constant z-coefficients are reported
     assert any(not p.is_constant() for p in err.value.offenders.values())
+
+
+def full_expansion(Q: QPoly, V: XPoly, W: XPoly) -> QPoly:
+    """4 F with every x-power kept: the module formula expanded in full."""
+    ring = Q.ring
+    V, W = V.lift(ring), W.lift(ring)
+    q1, q2, q3, q4 = Q.dx(), Q.dx(2), Q.dx(3), Q.dx(4)
+    return (
+        ((Q.times_z() - Q.scale_x(W)) * Q).scale_x(4)
+        - (q1 * q1).scale_x(4 * V)
+        + q2 * q2
+        - (q1 * q3).scale_x(2)
+        + (Q * (q1.scale_x(2 * V.derivative()) + q2.scale_x(4 * V) + q4)).scale_x(2)
+    )
+
+
+def expanded_curve(Q: QPoly, V: XPoly, W: XPoly) -> SpectralCurve:
+    """Reference spectral_curve: read F off the full expansion, or report
+    every z-coefficient that depends on x."""
+    four_f = full_expansion(Q, V, W)
+    offenders = {p: c for p, c in enumerate(four_f.coeffs) if not c.is_constant()}
+    if offenders:
+        raise XDependenceError(offenders)
+    return SpectralCurve(Q.ring, tuple(c.constant_value() / 4 for c in four_f.coeffs))
+
+
+ROOT_RING = ParamRing(("A", "B"))
+_A, _B = ROOT_RING.param("A"), ROOT_RING.param("B")
+# Scalars over Q(A, B), some with parameter denominators.
+CURVE_SCALARS = (0, 1, -2, 3, Fraction(1, 2), _A, -_B, _A * _B - 1, 1 / _A, _B / (_A + 1))
+
+
+def xpolys(max_degree):
+    return st.lists(st.sampled_from(CURVE_SCALARS), max_size=max_degree + 1).map(
+        lambda cs: XPoly(ROOT_RING, cs)
+    )
+
+
+@st.composite
+def qpolys(draw, monic=True):
+    coeffs = draw(st.lists(xpolys(2), max_size=3 if monic else 4))
+    if monic:
+        coeffs.append(XPoly.const(ROOT_RING, 1))
+    return QPoly(ROOT_RING, coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(qpolys(), xpolys(3), xpolys(3))
+def test_curve_matches_full_expansion(Q, V, W):
+    try:
+        expected = expanded_curve(Q, V, W)
+    except XDependenceError as err:
+        with pytest.raises(XDependenceError) as got:
+            spectral_curve(Q, V, W)
+        assert got.value.offenders == err.offenders
+    else:
+        assert spectral_curve(Q, V, W) == expected
+
+
+def test_family_curves_match_full_expansion():
+    for kind, params, m in [
+        ("thm1", {"g": 2}, 2),
+        ("thm1", {"g": 1}, 3),
+        ("thm2", {"g": 2}, 2),
+        ("mironov_x3", {"g": 2}, 3),
+        ("thm3", {"n": 4, "b_mult": 2}, 2),
+    ]:
+        chain, _, Q, curve = solved_family(kind, params, m)
+        assert curve == expanded_curve(Q, chain.V, chain.W)
+
+
+@settings(max_examples=40, deadline=None)
+@given(qpolys(monic=False), xpolys(3), xpolys(3))
+def test_curve_expression_is_a_first_integral(Q, V, W):
+    # d(4F)/dx = 2 Q R, so R = 0 proves 4F free of x
+    assert full_expansion(Q, V, W).dx() == (Q * residual_eq2(Q, V, W)).scale_x(2)
 
 
 def test_singularity_examples():
@@ -133,8 +210,6 @@ def test_structure_symbolic_square():
     assert tuple(rebuilt) == curve.coeffs
 
 
-ROOT_RING = ParamRing(("A", "B"))
-_A, _B = ROOT_RING.param("A"), ROOT_RING.param("B")
 # roots with parameter denominators make the lift clear them by their lcm
 SYMBOLIC_ROOTS = (-1 / _A, _B / (_A + 1), _A * _B / (_B - 2))
 

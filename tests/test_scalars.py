@@ -228,3 +228,80 @@ def test_scalar_canonical_form(s):
 @given(scalars())
 def test_scalar_render_round_trip(s):
     assert parse_scalar(_RING, str(s)) == s
+
+
+def _is_constant_by_scan(p):
+    return all(not any(exp) for exp in p.terms)
+
+
+def _substitute_by_terms(p, bindings):
+    """Reference substitution: every term built as const * prod param^e."""
+    ring = p.ring
+    out = ring.zero()
+    for exp, coeff in p.terms.items():
+        term = ring.const(coeff)
+        for name, e in zip(ring.names, exp):
+            if e:
+                base = bindings[name] if name in bindings else ring.param(name)
+                term = term * base**e
+        out = out + term
+    return out
+
+
+constant_polys = st.fractions(min_value=-3, max_value=3, max_denominator=4).map(
+    _RING.poly_const
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(polys(), constant_polys, st.just(_RING.poly_one())))
+def test_constant_and_one_match_a_full_scan(p):
+    assert p.is_constant() == _is_constant_by_scan(p)
+    assert p.is_one() == (_is_constant_by_scan(p) and p.constant_value() == 1)
+
+
+_A6, _A2 = _RING.param("A6"), _RING.param("A2")
+
+binding_values = st.one_of(
+    st.integers(-2, 2),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    st.sampled_from([_A2 + 1, -_A6, _A6 / (_A2 - 1), 1 / _A2, _A6 * _A2]),
+)
+
+
+@st.composite
+def partial_bindings(draw):
+    names = draw(st.lists(st.sampled_from(_RING.names), unique=True))
+    return {name: draw(binding_values) for name in names}
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(), partial_bindings())
+def test_poly_substitute_matches_term_by_term(p, bindings):
+    assert p.substitute(bindings) == _substitute_by_terms(p, bindings)
+
+
+@st.composite
+def scalars_and_bindings(draw):
+    """A scalar and partial bindings; half the time the bindings set A2 = k
+    under a denominator that vanishes there."""
+    bindings = draw(partial_bindings())
+    if draw(st.booleans()):
+        return draw(scalars()), bindings
+    k = draw(st.integers(-2, 2))
+    bindings["A2"] = k
+    den = draw(st.sampled_from([_A2 - k, (_A2 - k) * (_A6 + 1), _A6 * _A2 - k * _A6]))
+    return draw(polys()).as_scalar() / den, bindings
+
+
+@settings(max_examples=80, deadline=None)
+@given(scalars_and_bindings())
+def test_scalar_substitute_matches_term_by_term_or_poles(case):
+    s, bindings = case
+    num = _substitute_by_terms(s.num, bindings)
+    den = _substitute_by_terms(s.den, bindings)
+    if den.is_zero():
+        with pytest.raises(PoleError):
+            s.substitute(bindings)
+    else:
+        assert s.substitute(bindings) == num / den
