@@ -8,21 +8,27 @@ depending on x, satisfying
 
 where primes are x-derivatives and z enters as a formal spectral variable.
 Matching powers of z turns this into a chain: a_1 = W/2 + C_1 and
+a_{i+1} = T(a_i) + C_{i+1}, with integration constants C_i and the linear map
 
-    a_{i+1} = 1/4 * Integral(-a_i''''' - 4 V a_i''' - 6 V' a_i''
-                             - 2 a_i' V'' + 2 a_i W' + 4 a_i' W) dx + C_{i+1},
+    T(a) = 1/4 * Integral(-a''''' - 4 V a''' - 6 V' a'' - 2 a' V''
+                          + 2 a W' + 4 a' W) dx   (zero constant term).
 
-with integration constants C_i.  The chain closes iff a_{m+1} can be made
-constant in x, which is an affine-linear condition on C_1 ... C_m.  This
-module builds the chain, extracts that linear system, solves it exactly over
-the parameter field, and reassembles Q.
+As T(1) = (W - W(0))/2, each a_i = u_{i-1} + sum_{j<=i} C_j v_{i-j} for one
+sequence over the parameter ring, the stationary Lenard (Gelfand-Dickey)
+recursion u_0 = W/2, u_{k+1} = T(u_k), and v_0 = 1, v_k = u_{k-1} - W(0)/2
+v_{k-1} = T(v_{k-1}).  The chain closes iff a_{m+1} can be made constant in
+x, and its x^p coefficient [x^p] u_m + sum_{j<=m} C_j [x^p] v_{m+1-j} is
+linear in C_1 ... C_m.  So this module runs m rungs over the ring of V and W
+alone, reads the linear system off the sequence, solves it exactly over the
+parameter field, and assembles Q as a linear combination of the sequence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Mapping
 
 from .scalars import ParamPoly, ParamRing, ParamScalar, RatLike
 from .weyl import XPoly, dense_add, dense_mul, xpoly_integrate
@@ -59,10 +65,6 @@ class QPoly:
     def z(cls, ring: ParamRing) -> "QPoly":
         return cls(ring, [XPoly.zero(ring), XPoly.const(ring, 1)])
 
-    @property
-    def z_degree(self) -> int | None:
-        return len(self.coeffs) - 1 if self.coeffs else None
-
     def coefficient(self, power: int) -> XPoly:
         if 0 <= power < len(self.coeffs):
             return self.coeffs[power]
@@ -72,7 +74,7 @@ class QPoly:
         return not self.coeffs
 
     def _same_ring(self, other: "QPoly") -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("mixed parameter rings in QPoly arithmetic")
 
     def __add__(self, other: "QPoly") -> "QPoly":
@@ -101,9 +103,6 @@ class QPoly:
     def dx(self, order: int = 1) -> "QPoly":
         """Derivative in x, coefficientwise."""
         return QPoly(self.ring, [c.derivative(order) for c in self.coeffs])
-
-    def substitute_params(self, bindings: Mapping[str, "RatLike | ParamScalar"]) -> "QPoly":
-        return QPoly(self.ring, [c.substitute_params(bindings) for c in self.coeffs])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QPoly):
@@ -134,35 +133,55 @@ class QPoly:
 
 
 def recursion_step(a: XPoly, V: XPoly, W: XPoly, constant) -> XPoly:
-    """One rung of the chain: a_i -> a_{i+1}.
+    """One rung of the chain: a_i -> a_{i+1} = T(a_i) + constant.
 
     `constant` is the integration constant: a scalar-like value or the name
     of a ring parameter.  The antiderivative itself is taken with zero
     constant term, so the produced polynomial has `constant` as its exact
     x-free part whenever the integrand has no 1/x obstruction (the integrand
-    of a closing chain never does).
+    of a closing chain never does).  The 1/4 goes into the small V and W
+    factors, and a', a'', a''' and a^(5) are each built once.
     """
+    d1 = a.derivative()
+    d2 = d1.derivative()
+    d3 = d2.derivative()
     integrand = (
-        -a.derivative(5)
-        - 4 * V * a.derivative(3)
-        - 6 * V.derivative() * a.derivative(2)
-        - 2 * a.derivative() * V.derivative(2)
-        + 2 * a * W.derivative()
-        + 4 * a.derivative() * W
+        (W - V.derivative(2).scale(Fraction(1, 2))) * d1
+        - V * d3
+        - V.derivative().scale(Fraction(3, 2)) * d2
+        + W.derivative().scale(Fraction(1, 2)) * a
+        - d3.derivative(2).scale(Fraction(1, 4))
     )
-    return xpoly_integrate(integrand.scale(Fraction(1, 4)), constant)
+    return xpoly_integrate(integrand, constant)
 
 
 @dataclass(frozen=True)
 class QChain:
-    """Chain a_1 ... a_{m+1} over a ring extended with constants C_1 ... C_{m+1}."""
+    """Chain a_1 ... a_{m+1} of (V, W), held as the sequence it is built from.
+
+    u = (u_0, ..., u_m) and v = (v_0, ..., v_m) live over the ring of V and
+    W; `ring` extends it with the constants C_1 ... C_{m+1}.
+    """
 
     ring: ParamRing
     V: XPoly
     W: XPoly
     m: int
     constants: tuple[str, ...]
-    entries: tuple[XPoly, ...]  # entries[i] = a_{i+1}, so entries has m+1 items
+    u: tuple[XPoly, ...]
+    v: tuple[XPoly, ...]
+
+    @cached_property
+    def entries(self) -> tuple[XPoly, ...]:
+        """(a_1, ..., a_{m+1}) over `ring`: a_i = u_{i-1} + sum_{j<=i} C_j v_{i-j}."""
+        ring = self.ring
+        u = [p.lift(ring) for p in self.u]
+        v = [p.lift(ring) for p in self.v]
+        cs = [ring.param(name) for name in self.constants]
+        return tuple(
+            sum((v[i - j].scale(cs[j - 1]) for j in range(1, i + 1)), u[i - 1])
+            for i in range(1, self.m + 2)
+        )
 
     def entry(self, i: int) -> XPoly:
         """a_i for 1 <= i <= m+1."""
@@ -181,11 +200,14 @@ def build_qchain(
     W: XPoly,
     m: int,
     constant_prefix: str = "C",
+    prefix: QChain | None = None,
 ) -> QChain:
-    """Run the recursion m times starting from a_1 = W/2 + C_1.
+    """Run the sequence u_0 = W/2, u_{k+1} = T(u_k) up to u_m.
 
-    The parameter ring of V and W is extended with fresh constant names
-    C_1 ... C_{m+1}; the prefix must not collide with existing parameters.
+    The chain's ring extends the parameter ring of V and W with fresh
+    constant names C_1 ... C_{m+1}, which must not collide with existing
+    parameters.  `prefix`, a chain built earlier from the same V and W,
+    lends its sequence, so that only the rungs past its degree run.
     """
     if V.ring != W.ring:
         raise ChainError("V and W must share a parameter ring")
@@ -195,13 +217,18 @@ def build_qchain(
     for name in constants:
         if name in V.ring:
             raise ChainError(f"constant name {name!r} collides with a ring parameter")
+    if prefix is None:
+        u, v = [W.scale(Fraction(1, 2))], [XPoly.const(V.ring, 1)]
+    elif prefix.V != V or prefix.W != W:
+        raise ChainError("the prefix chain was built from another (V, W)")
+    else:
+        u, v = list(prefix.u[: m + 1]), list(prefix.v[: m + 1])
+    half_w0 = W.coefficient(0) / 2
+    while len(u) <= m:
+        v.append(u[-1] - v[-1].scale(half_w0))
+        u.append(recursion_step(u[-1], V, W, 0))
     ring = V.ring.extend(constants)
-    V = V.lift(ring)
-    W = W.lift(ring)
-    entries = [W.scale(Fraction(1, 2)) + XPoly.const(ring, ring.param(constants[0]))]
-    for i in range(1, m + 1):
-        entries.append(recursion_step(entries[-1], V, W, constants[i]))
-    return QChain(ring=ring, V=V, W=W, m=m, constants=constants, entries=tuple(entries))
+    return QChain(ring=ring, V=V, W=W, m=m, constants=constants, u=tuple(u), v=tuple(v))
 
 
 @dataclass(frozen=True)
@@ -234,52 +261,25 @@ class ConstraintSystem:
     equations: tuple[LinearEquation, ...]
 
 
-def _affine_parts(
-    value: ParamScalar, unknowns: Sequence[str]
-) -> tuple[dict[str, ParamScalar], ParamScalar]:
-    """Split a scalar into sum_j coeff_j * C_j + rest, requiring degree <= 1."""
-    ring = value.ring
-    idx = {ring.index(name): name for name in unknowns}
-    for exp in value.den.terms:
-        if any(exp[i] for i in idx):
-            raise ChainError("integration constant appears in a denominator")
-    coeffs: dict[str, dict] = {}
-    const_terms: dict = {}
-    for exp, c in value.num.terms.items():
-        hits = [(i, exp[i]) for i in idx if exp[i]]
-        if not hits:
-            const_terms[exp] = c
-            continue
-        if len(hits) > 1 or hits[0][1] > 1:
-            raise ChainError("closing condition is not affine in the constants")
-        i = hits[0][0]
-        stripped = exp[:i] + (0,) + exp[i + 1 :]
-        coeffs.setdefault(idx[i], {})[stripped] = c
-    den = value.den
-    out = {
-        name: ParamScalar(ParamPoly(ring, terms), den) for name, terms in coeffs.items()
-    }
-    rest = ParamScalar(ParamPoly(ring, const_terms), den)
-    return out, rest
-
-
 def extract_constraints(chain: QChain) -> ConstraintSystem:
-    """Closing conditions: every positive x-power of a_{m+1} must vanish."""
-    closing = chain.closing_entry
+    """Closing conditions: every positive x-power of a_{m+1} must vanish.
+
+    The x^p coefficient of a_{m+1} is [x^p] u_m + sum_{j<=m} C_j [x^p] v_{m+1-j}.
+    """
+    ring, m = chain.ring, chain.m
     unknowns = chain.constants[:-1]
+    closing = chain.u[m]
+    parts = [(name, chain.v[m + 1 - j]) for j, name in enumerate(unknowns, start=1)]
     equations = []
-    degree = closing.degree or 0
-    for power in range(degree, 0, -1):
-        c = closing.coefficient(power)
-        if c.is_zero():
-            continue
-        coeffs, rest = _affine_parts(c, unknowns)
-        ordered = tuple(
-            (name, coeffs[name]) for name in unknowns if name in coeffs
+    for power in range(max(p.degree or 0 for p in (closing,) + chain.v), 0, -1):
+        coeffs = tuple(
+            (name, p.coefficient(power).lift(ring)) for name, p in parts if p.coefficient(power)
         )
-        equations.append(LinearEquation(power=power, coeffs=ordered, constant=rest))
+        constant = closing.coefficient(power).lift(ring)
+        if coeffs or constant:
+            equations.append(LinearEquation(power=power, coeffs=coeffs, constant=constant))
     return ConstraintSystem(
-        ring=chain.ring, unknowns=unknowns, equations=tuple(equations)
+        ring=ring, unknowns=unknowns, equations=tuple(equations)
     )
 
 
@@ -388,36 +388,50 @@ def assemble_q(
     outcome: SolveOutcome,
     free_values: Mapping[str, RatLike] | None = None,
 ) -> QPoly:
-    """Substitute the solved constants into the chain and build Q.
+    """Build Q over the ring of V and W from the solved constants.
 
-    Free constants default to 0 unless overridden.  The closing entry must
-    become x-constant after substitution; anything else is a logic error.
+    Free constants default to 0 unless overridden.  C_{m+1} only shifts Q
+    by a scalar; it stays a formal choice and we take the canonical
+    representative 0.  With the values c_j, a_i = u_{i-1} + sum_{j<=i} c_j
+    v_{i-j}.  The closing entry must come out x-constant; anything else is a
+    logic error.
     """
     if not outcome.feasible:
         raise ChainError("cannot assemble Q from an infeasible outcome")
-    ring = chain.ring
     free_values = dict(free_values or {})
     for name in free_values:
         if name not in outcome.free:
             raise ChainError(f"{name!r} is not a free constant of this chain")
-    bindings: dict[str, ParamScalar] = {}
-    for name in outcome.free:
-        bindings[name] = ring.const(free_values.get(name, 0))
-    for name, value in outcome.assignment.items():
-        bindings[name] = value.substitute(bindings) if bindings else value
-    # The last constant shifts Q by a scalar; it stays a formal choice and we
-    # take the canonical representative 0.
-    bindings[chain.constants[-1]] = ring.const(0)
-    coeffs = [XPoly.const(ring, 1)]
-    for i in range(1, chain.m + 1):
-        coeffs.append(chain.entry(i).substitute_params(bindings))
-    closing = chain.closing_entry.substitute_params(bindings)
-    if not closing.is_constant():
+    ring = chain.V.ring
+    at = [Fraction(free_values.get(name, 0)) for name in chain.constants]
+    values = [
+        _at_constants(outcome.assignment[name], ring, at) if name in outcome.assignment else at[j]
+        for j, name in enumerate(chain.constants[:-1])
+    ]
+
+    def entry(i: int) -> XPoly:
+        out = chain.u[i - 1]
+        for j in range(1, min(i, chain.m) + 1):
+            if values[j - 1]:
+                out = out + chain.v[i - j].scale(values[j - 1])
+        return out
+
+    if not entry(chain.m + 1).is_constant():
         raise ChainError("closing entry stayed x-dependent after substitution")
-    q_coeffs = [XPoly.zero(ring)] * (chain.m + 1)
-    for i, c in enumerate(coeffs):
-        q_coeffs[chain.m - i] = c
-    return QPoly(ring, q_coeffs)
+    return QPoly(ring, [entry(i) for i in range(chain.m, 0, -1)] + [XPoly.const(ring, 1)])
+
+
+def _at_constants(value: ParamScalar, ring: ParamRing, at: list[Fraction]) -> ParamScalar:
+    """A solved value, over `ring` extended with the constants, taken at the
+    rational constants `at`; the solve keeps the constants out of denominators."""
+    n = len(ring)
+    num: dict = {}
+    for exp, coeff in value.num.terms.items():
+        for e, c in zip(exp[n:], at):
+            coeff *= c**e
+        num[exp[:n]] = num.get(exp[:n], 0) + coeff
+    den = {exp[:n]: coeff for exp, coeff in value.den.terms.items()}
+    return ParamScalar(ParamPoly(ring, num), ParamPoly(ring, den))
 
 
 def residual_eq2(Q: QPoly, V: XPoly, W: XPoly) -> QPoly:

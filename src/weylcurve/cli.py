@@ -36,7 +36,7 @@ from .families import (
     DegreeResult,
     FamilySpec,
     FamilySpecError,
-    attempt_degree,
+    attempt_degrees,
     build_family,
     dixmier_pair,
     run_family_verdict,
@@ -440,7 +440,7 @@ def _run_verdict(job: JobSpec) -> tuple[int, dict]:
             raise CliInputError(
                 f"--g-bound {job.g_bound} leaves no degree to probe; it must be >= 1"
             )
-        rows = [attempt_degree(V, W, m) for m in degrees]
+        rows = attempt_degrees(V, W, [(m, None) for m in degrees])
         identities = None
         verified = any(row.status != "infeasible" for row in rows)
     else:
@@ -534,8 +534,10 @@ def _run_scan(job: JobSpec) -> tuple[int, dict]:
         if g is not None:
             parameters["g"] = g
         ring, V, W = build_family(FamilySpec(job.family.kind, parameters))
+        chain = None
         for m in range(job.m_range[0], job.m_range[1] + 1):
-            solution = solve_pair(V, W, m)
+            solution = solve_pair(V, W, m, prefix=chain)
+            chain = solution.chain
             curve = solution.curve
             row: dict = {
                 "g": g,

@@ -195,14 +195,16 @@ def solve_pair(
     W: XPoly,
     m: int,
     free_values: Mapping[str, RatLike] | None = None,
+    prefix: QChain | None = None,
 ) -> PairSolution:
     """Build the chain to degree m, solve its closing conditions, and when
     they are feasible assemble Q and the spectral curve.
 
     Free constants are 0 unless free_values sets them; naming a constant
-    that is not free raises ChainError.
+    that is not free raises ChainError.  `prefix`, a chain of an earlier
+    solve of the same V and W, lends its sequence to build_qchain.
     """
-    chain = build_qchain(V, W, m)
+    chain = build_qchain(V, W, m, prefix=prefix)
     system = extract_constraints(chain)
     outcome = solve_constants(system)
     if not outcome.feasible:

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
+from typing import Sequence
 
 from .scalars import ParamRing, ParamScalar, RatLike
 from .weyl import DiffOp, XPoly
@@ -369,26 +370,34 @@ class FamilyVerdict:
     verified: bool
 
 
-def attempt_degree(
-    V: XPoly, W: XPoly, degree: int, expected: bool | None = None
-) -> DegreeResult:
-    """Try closure of (V, W) at one chain degree, free constants set to 0.
+def attempt_degrees(
+    V: XPoly, W: XPoly, claims: Sequence[tuple[int, bool | None]]
+) -> tuple[DegreeResult, ...]:
+    """Try closure of (V, W) at each (degree, expected) of `claims`, free
+    constants set to 0; each chain extends the sequence of the one before.
 
-    ``expected`` is the family's claim for this degree; None makes no claim,
+    ``expected`` is the family's claim for the degree; None makes no claim,
     as for an explicit pair.
     """
-    solution = solve_pair(V, W, degree)
-    outcome = solution.outcome
-    return DegreeResult(
-        degree=degree,
-        status=outcome.status,
-        assignment={k: str(v) for k, v in sorted(outcome.assignment.items())},
-        free=outcome.free,
-        side_conditions=tuple(str(p) for p in outcome.side_conditions),
-        curve=solution.curve,
-        expected=expected,
-        matches_expected=expected is None or outcome.feasible == expected,
-    )
+    rows = []
+    chain = None
+    for degree, expected in claims:
+        solution = solve_pair(V, W, degree, prefix=chain)
+        chain = solution.chain
+        outcome = solution.outcome
+        rows.append(
+            DegreeResult(
+                degree=degree,
+                status=outcome.status,
+                assignment={k: str(v) for k, v in sorted(outcome.assignment.items())},
+                free=outcome.free,
+                side_conditions=tuple(str(p) for p in outcome.side_conditions),
+                curve=solution.curve,
+                expected=expected,
+                matches_expected=expected is None or outcome.feasible == expected,
+            )
+        )
+    return tuple(rows)
 
 
 def run_family_verdict(
@@ -429,7 +438,7 @@ def run_family_verdict(
     if not degrees:
         raise FamilySpecError(f"g_bound {g_bound} leaves no degree to probe; it must be >= 1")
     ring, V, W = build_family(spec)
-    rows = tuple(attempt_degree(V, W, d, expected_feasible(spec, d)) for d in degrees)
+    rows = attempt_degrees(V, W, [(d, expected_feasible(spec, d)) for d in degrees])
     return FamilyVerdict(
         kind=spec.kind,
         rows=rows,

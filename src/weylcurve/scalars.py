@@ -65,7 +65,7 @@ class ParamRing:
         return name in self._index
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, ParamRing) and self.names == other.names
+        return self is other or (isinstance(other, ParamRing) and self.names == other.names)
 
     def __hash__(self) -> int:
         return hash(self.names)
@@ -213,12 +213,6 @@ class ParamPoly:
 
     # -- ring plumbing ----------------------------------------------------------
 
-    def _same_ring(self, other: "ParamPoly") -> None:
-        if self.ring != other.ring:
-            raise ValueError(
-                f"mixed parameter rings: {self.ring.names!r} vs {other.ring.names!r}"
-            )
-
     def lift(self, ring: ParamRing) -> "ParamPoly":
         """Reinterpret over a ring whose names include this ring's names."""
         if ring == self.ring:
@@ -240,7 +234,7 @@ class ParamPoly:
 
     def _coerce(self, other) -> "ParamPoly | None":
         if isinstance(other, ParamPoly):
-            self._same_ring(other)
+            _same_rings(self.ring, other.ring)
             return other
         if isinstance(other, (int, Fraction)):
             return self.ring.poly_const(other)
@@ -309,7 +303,7 @@ class ParamPoly:
 
     def try_div(self, divisor: "ParamPoly") -> "ParamPoly | None":
         """Exact quotient self/divisor, or None when division is inexact."""
-        self._same_ring(divisor)
+        _same_rings(self.ring, divisor.ring)
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero():
@@ -549,7 +543,7 @@ def mpoly_gcd(a: ParamPoly, b: ParamPoly) -> ParamPoly:
     a/gcd and b/gcd are always exact; gcd(0, 0) = 0 and constants behave as
     units (gcd 1).
     """
-    a._same_ring(b)
+    _same_rings(a.ring, b.ring)
     if a.is_zero() and b.is_zero():
         return a.ring.poly_zero()
     if a.is_zero():
@@ -559,19 +553,16 @@ def mpoly_gcd(a: ParamPoly, b: ParamPoly) -> ParamPoly:
     return _gcd_rec(a, b).primitive()
 
 
+def _same_rings(a: ParamRing, b: ParamRing) -> None:
+    """Raise unless a and b are one ring; usually they are the same object."""
+    if a is not b and a != b:
+        raise ValueError(f"mixed parameter rings: {a.names!r} vs {b.names!r}")
+
+
 def _coerce_scalar(ring: ParamRing, value) -> "ParamScalar":
-    if isinstance(value, ParamScalar):
-        if value.ring != ring:
-            raise ValueError(
-                f"mixed parameter rings: {value.ring.names!r} vs {ring.names!r}"
-            )
-        return value
-    if isinstance(value, ParamPoly):
-        if value.ring != ring:
-            raise ValueError(
-                f"mixed parameter rings: {value.ring.names!r} vs {ring.names!r}"
-            )
-        return value.as_scalar()
+    if isinstance(value, (ParamScalar, ParamPoly)):
+        _same_rings(value.ring, ring)
+        return value if isinstance(value, ParamScalar) else value.as_scalar()
     if isinstance(value, (int, Fraction)):
         return ring.const(value)
     raise TypeError(f"cannot interpret {value!r} as a scalar")
@@ -590,7 +581,7 @@ class ParamScalar:
     def __init__(self, num: ParamPoly, den: ParamPoly | None = None):
         if den is None:
             den = num.ring.poly_one()
-        num._same_ring(den)
+        _same_rings(num.ring, den.ring)
         self.num, self.den = _scalar_normalize(num, den)
 
     @classmethod
@@ -632,18 +623,9 @@ class ParamScalar:
     # -- arithmetic ---------------------------------------------------------------
 
     def _coerce(self, other) -> "ParamScalar | None":
-        if isinstance(other, ParamScalar):
-            if other.ring != self.ring:
-                raise ValueError(
-                    f"mixed parameter rings: {self.ring.names!r} vs {other.ring.names!r}"
-                )
-            return other
-        if isinstance(other, ParamPoly):
-            if other.ring != self.ring:
-                raise ValueError(
-                    f"mixed parameter rings: {self.ring.names!r} vs {other.ring.names!r}"
-                )
-            return other.as_scalar()
+        if isinstance(other, (ParamScalar, ParamPoly)):
+            _same_rings(self.ring, other.ring)
+            return other if isinstance(other, ParamScalar) else other.as_scalar()
         if isinstance(other, (int, Fraction)):
             return self.ring.const(other)
         return None
@@ -698,6 +680,11 @@ class ParamScalar:
         if other is None:
             return NotImplemented
         return other / self
+
+    def _scale(self, factor: RatLike) -> "ParamScalar":
+        """self * factor for a nonzero int or Fraction: one product per term."""
+        terms = {exp: c * factor for exp, c in self.num.terms.items()}
+        return ParamScalar._raw(ParamPoly._raw(self.ring, terms), self.den)
 
     def __pow__(self, power: int):
         if not isinstance(power, int):

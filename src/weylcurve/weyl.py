@@ -10,10 +10,10 @@ operator in normal form.  Degrees and orders use None for the zero element.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, perm
 from typing import Iterable, Mapping
 
-from .scalars import ParamRing, ParamScalar, RatLike, _coerce_scalar
+from .scalars import ParamRing, ParamScalar, RatLike, _coerce_scalar, _same_rings
 
 
 def dense_add(a, b) -> list:
@@ -101,17 +101,11 @@ class XPoly:
             out |= c.free_params()
         return out
 
-    def _same_ring(self, other: "XPoly") -> None:
-        if self.ring != other.ring:
-            raise ValueError(
-                f"mixed parameter rings: {self.ring.names!r} vs {other.ring.names!r}"
-            )
-
     # -- arithmetic ------------------------------------------------------------
 
     def _coerce(self, other) -> "XPoly | None":
         if isinstance(other, XPoly):
-            self._same_ring(other)
+            _same_rings(self.ring, other.ring)
             return other
         if isinstance(other, (int, Fraction, ParamScalar)):
             return XPoly(self.ring, [other])
@@ -145,12 +139,14 @@ class XPoly:
             return self.scale(other)
         if not isinstance(other, XPoly):
             return NotImplemented
-        self._same_ring(other)
+        _same_rings(self.ring, other.ring)
         return XPoly(self.ring, dense_mul(self.coeffs, other.coeffs, self.ring.zero()))
 
     __rmul__ = __mul__
 
     def scale(self, value) -> "XPoly":
+        if isinstance(value, (int, Fraction)):
+            return XPoly(self.ring, [c._scale(value) for c in self.coeffs] if value else ())
         value = _coerce_scalar(self.ring, value)
         return XPoly(self.ring, [c * value for c in self.coeffs])
 
@@ -171,18 +167,15 @@ class XPoly:
     def derivative(self, order: int = 1) -> "XPoly":
         if order < 0:
             raise ValueError(f"negative derivative order {order}")
-        p = self
-        for _ in range(order):
-            p = XPoly(
-                p.ring, [(i + 1) * c for i, c in enumerate(p.coeffs[1:], start=0)]
-            )
-        return p
+        return XPoly(
+            self.ring, [c._scale(perm(i, order)) for i, c in enumerate(self.coeffs) if i >= order]
+        )
 
     def antiderivative(self) -> "XPoly":
         """The antiderivative whose constant term is zero."""
         return XPoly(
             self.ring,
-            [self.ring.zero()] + [c / (i + 1) for i, c in enumerate(self.coeffs)],
+            [self.ring.zero()] + [c._scale(Fraction(1, i + 1)) for i, c in enumerate(self.coeffs)],
         )
 
     # -- substitution and lifting ----------------------------------------------------
@@ -271,10 +264,7 @@ class DiffOp:
         cs = []
         for c in coeffs:
             if isinstance(c, XPoly):
-                if c.ring != ring:
-                    raise ValueError(
-                        f"mixed parameter rings: {ring.names!r} vs {c.ring.names!r}"
-                    )
+                _same_rings(ring, c.ring)
                 cs.append(c)
             else:
                 cs.append(XPoly.const(ring, c))
@@ -316,21 +306,12 @@ class DiffOp:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def _same_ring(self, other: "DiffOp") -> None:
-        if self.ring != other.ring:
-            raise ValueError(
-                f"mixed parameter rings: {self.ring.names!r} vs {other.ring.names!r}"
-            )
-
     # -- arithmetic -----------------------------------------------------------------
 
     def _coerce(self, other) -> "DiffOp | None":
-        if isinstance(other, DiffOp):
-            self._same_ring(other)
-            return other
-        if isinstance(other, XPoly):
-            self._same_ring(DiffOp.from_xpoly(other))
-            return DiffOp.from_xpoly(other)
+        if isinstance(other, (DiffOp, XPoly)):
+            _same_rings(self.ring, other.ring)
+            return other if isinstance(other, DiffOp) else DiffOp.from_xpoly(other)
         if isinstance(other, (int, Fraction, ParamScalar)):
             return DiffOp(self.ring, [XPoly.const(self.ring, other)])
         return None
@@ -473,7 +454,7 @@ def _render_op_term(c: XPoly, order: int) -> tuple[bool, str]:
 
 def build_square_form(V: XPoly, W: XPoly) -> DiffOp:
     """The operator (D^2 + V)^2 + W = D^4 + 2V D^2 + 2V' D + (V'' + V^2 + W)."""
-    V._same_ring(W)
+    _same_rings(V.ring, W.ring)
     ring = V.ring
     return DiffOp(
         ring,

@@ -3,16 +3,21 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylcurve import (
     ChainError,
     FamilySpec,
+    LinearEquation,
     ParamRing,
     XPoly,
     assemble_q,
     build_family,
     build_qchain,
+    expected_feasible,
     extract_constraints,
+    recursion_step,
     residual_eq2,
     solve_constants,
 )
@@ -35,7 +40,7 @@ def test_first_entry_is_half_w():
     chain = family_chain("thm1", {"g": 1}, 1)
     ring = chain.ring
     a1 = chain.entry(1)
-    assert a1 == chain.W.scale(Fraction(1, 2)) + XPoly.const(ring, ring.param("C1"))
+    assert a1 == chain.W.lift(ring).scale(Fraction(1, 2)) + XPoly.const(ring, ring.param("C1"))
     assert a1.coefficient(4) == 16 * ring.param("A6")
 
 
@@ -44,7 +49,8 @@ def test_second_entry_closed_form():
     # up to an x-free term (absorbed into the meaning of C2)
     for kind, params in [("thm1", {"g": 1}), ("thm2", {"g": 2})]:
         chain = family_chain(kind, params, 2)
-        ring, V, W = chain.ring, chain.V, chain.W
+        ring = chain.ring
+        V, W = chain.V.lift(ring), chain.W.lift(ring)
         c1 = XPoly.const(ring, ring.param("C1"))
         c2 = XPoly.const(ring, ring.param("C2"))
         closed = (
@@ -198,7 +204,7 @@ def test_solved_chain_residual_vanishes():
 def test_rederivation_identity():
     # differentiating the defining integral recovers the integrand exactly
     chain = family_chain("thm1", {"g": 1}, 2)
-    V, W = chain.V, chain.W
+    V, W = chain.V.lift(chain.ring), chain.W.lift(chain.ring)
     for i in (1, 2):
         a, nxt = chain.entry(i), chain.entry(i + 1)
         total = (
@@ -233,3 +239,129 @@ def test_thm3_degree_law():
     assert degs == [3, 6, 6, 6, 8]
     degs = [e.degree for e in family_chain("thm3", {"n": 6, "b_over_a": 33}, 4).entries]
     assert degs == [4, 8, 12, 16, 20]
+
+
+def reference_chain(V, W, m):
+    """The chain rung by rung over the ring extended with C_1 ... C_{m+1}:
+    a_1 = W/2 + C_1 and a_{i+1} = recursion_step(a_i, V, W, C_{i+1})."""
+    constants = tuple(f"C{i}" for i in range(1, m + 2))
+    ring = V.ring.extend(constants)
+    V, W = V.lift(ring), W.lift(ring)
+    entries = [W.scale(Fraction(1, 2)) + XPoly.const(ring, ring.param(constants[0]))]
+    for name in constants[1:]:
+        entries.append(recursion_step(entries[-1], V, W, name))
+    return ring, constants, tuple(entries)
+
+
+def reference_equations(constants, closing):
+    """Rendered closing conditions of a reference chain: each positive x-power
+    of a_{m+1}, split into its C_j coefficients by setting C_j = 1 and every
+    other constant to 0."""
+    zero = {name: 0 for name in constants}
+    out = []
+    for power in range(closing.degree or 0, 0, -1):
+        c = closing.coefficient(power)
+        if c.is_zero():
+            continue
+        rest = c.substitute(zero)
+        coeffs = [(name, c.substitute({**zero, name: 1}) - rest) for name in constants[:-1]]
+        equation = LinearEquation(power, tuple((n, k) for n, k in coeffs if k), rest)
+        out.append(equation.render())
+    return out
+
+
+def reference_q(ring, constants, entries, outcome, free_values):
+    """Q from substituting the solved constants into the reference entries."""
+    bindings = {name: ring.const(free_values.get(name, 0)) for name in outcome.free}
+    for name, value in outcome.assignment.items():
+        bindings[name] = value.substitute(bindings)
+    bindings[constants[-1]] = ring.const(0)
+    solved = [entry.substitute_params(bindings) for entry in entries]
+    assert solved[-1].is_constant()
+    return QPoly(ring, solved[-2::-1] + [XPoly.const(ring, 1)])
+
+
+def assert_matches_reference(V, W, m, free_values=None):
+    ring, constants, entries = reference_chain(V, W, m)
+    chain = build_qchain(V, W, m)
+    assert chain.ring == ring and chain.constants == constants
+    assert chain.entries == entries
+    system = extract_constraints(chain)
+    assert [eq.render() for eq in system.equations] == reference_equations(constants, entries[-1])
+    outcome = solve_constants(system)
+    if not outcome.feasible:
+        return outcome
+    free_values = {k: v for k, v in (free_values or {}).items() if k in outcome.free}
+    Q = assemble_q(chain, outcome, free_values)
+    assert Q.ring == V.ring
+    lifted = QPoly(ring, [c.lift(ring) for c in Q.coeffs])
+    assert lifted == reference_q(ring, constants, entries, outcome, free_values)
+    return outcome
+
+
+CHAIN_RING = ParamRing(("A", "B"))
+_A, _B = CHAIN_RING.param("A"), CHAIN_RING.param("B")
+CHAIN_SCALARS = (0, 1, -2, 3, Fraction(1, 2), _A, -_B, _A * _B - 1, 1 / _A)
+
+
+def chain_xpolys(degree):
+    """x-polynomials of exactly the given degree."""
+    return st.tuples(
+        st.lists(st.sampled_from(CHAIN_SCALARS), min_size=degree, max_size=degree),
+        st.sampled_from(CHAIN_SCALARS[1:]),
+    ).map(lambda cs: XPoly(CHAIN_RING, cs[0] + [cs[1]]))
+
+
+@st.composite
+def chain_cases(draw):
+    """(V, W, m): a random pair with m <= 3, or up to m = 5 a pair that
+    closes: W a nonzero constant (with free constants), or the thm2 shape
+    V = s x^4 + t x^2 + r, W = 4 g(g+1) s x^2 + w (closes at m >= g
+    whatever the shift w)."""
+    kind = draw(st.sampled_from(("random", "constant_w", "thm2")))
+    V = draw(chain_xpolys(draw(st.integers(0, 3))))
+    if kind == "random":
+        return V, draw(chain_xpolys(draw(st.integers(1, 2)))), draw(st.integers(1, 3))
+    m = draw(st.integers(1, 5))
+    if kind == "constant_w":
+        return V, draw(chain_xpolys(0)), m
+    s, t, r = (draw(st.sampled_from(CHAIN_SCALARS[1:])) for _ in range(3))
+    g = draw(st.integers(1, 2))
+    V = XPoly(CHAIN_RING, [r, 0, t, 0, s])
+    return V, XPoly(CHAIN_RING, [draw(st.sampled_from(CHAIN_SCALARS)), 0, 4 * g * (g + 1) * s]), m
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    chain_cases(),
+    st.dictionaries(
+        st.sampled_from(("C1", "C2", "C3", "C4", "C5")),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    ),
+)
+def test_sequence_matches_rung_by_rung_reference(case, free_values):
+    V, W, m = case
+    assert_matches_reference(V, W, m, free_values)
+
+
+def test_family_sequences_match_rung_by_rung_reference():
+    cases = [("thm1", {"g": g}, g) for g in range(1, 9)]
+    cases += [("thm2", {"g": g}, g) for g in range(1, 9)]
+    cases += [("thm3", {"n": n, "b_mult": 2}, m) for n in range(4, 9) for m in (1, 2, 3, 4)]
+    cases += [("mironov_x3", {"g": g}, g) for g in range(1, 6)]
+    for kind, params, m in cases:
+        ring, V, W = build_family(FamilySpec(kind, params))
+        outcome = assert_matches_reference(V, W, m)
+        assert outcome.feasible == expected_feasible(FamilySpec(kind, params), m)
+
+
+def test_prefix_chain_matches_a_fresh_build():
+    ring, V, W = build_family(FamilySpec("thm2", {"g": 2, "A0": 1}))
+    short = build_qchain(V, W, 2)
+    for m in (1, 2, 4):
+        fresh = build_qchain(V, W, m)
+        reused = build_qchain(V, W, m, prefix=short)
+        assert (reused.u, reused.v, reused.ring) == (fresh.u, fresh.v, fresh.ring)
+        assert reused.entries == fresh.entries
+    with pytest.raises(ChainError):
+        build_qchain(V, W.scale(2), 3, prefix=short)

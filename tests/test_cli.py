@@ -5,10 +5,11 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from weylcurve import SpectralCurve, curve_is_singular
+from weylcurve import FamilySpec, SpectralCurve, build_family, curve_is_singular, solve_pair
 from weylcurve.cli import curve_from_report, main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -232,6 +233,39 @@ def test_scan_grid(capsys):
     assert by_cell[(1, 2)]["singular"] is True
 
 
+@pytest.mark.parametrize(
+    "family, shape, bind, g_range, m_range",
+    [
+        ("thm1", {}, {"A6": "1/2", "A2": "-3"}, (1, 3), (1, 5)),
+        ("thm2", {}, {"A4": "1", "A2": "0", "A0": "0"}, (2, 3), (1, 4)),
+        ("thm3", {"n": 5, "b_mult": 1}, {}, None, (1, 3)),
+    ],
+)
+def test_scan_rows_match_separate_solves(family, shape, bind, g_range, m_range, capsys):
+    # the rows of one g share a chain prefix; each must equal a solve on its own
+    argv = ["scan", "--family", family, "--m-range", "{}:{}".format(*m_range)]
+    for key, value in shape.items():
+        argv += [f"--{key.replace('_', '-')}", str(value)]
+    for name, value in bind.items():
+        argv += ["--bind", f"{name}={value}"]
+    if g_range is not None:
+        argv += ["--g-range", "{}:{}".format(*g_range)]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    rows = json.loads(out)["result"]["rows"]
+    g_values = range(g_range[0], g_range[1] + 1) if g_range else [None]
+    assert len(rows) == len(g_values) * (m_range[1] - m_range[0] + 1)
+    for row in rows:
+        params = {**shape, **{k: Fraction(v) for k, v in bind.items()}}
+        if row["g"] is not None:
+            params["g"] = row["g"]
+        _, V, W = build_family(FamilySpec(family, params))
+        solution = solve_pair(V, W, row["m"])
+        assert row["status"] == solution.outcome.status
+        assert row["free"] == list(solution.outcome.free)
+        assert row["curve"] == (str(solution.curve) if solution.curve else None)
+
+
 def test_oracle_check(capsys):
     code, out, _ = run_cli(["oracle-check", "--family", "thm2", "--g", "2"], capsys)
     assert code == 0
@@ -296,6 +330,12 @@ def test_input_errors_exit_2(capsys):
     )
     assert code == 2
     assert err.startswith("error:") and "no degree" in err
+    # a scan whose first degree is 0 fails before any chain is shared
+    code, out, err = run_cli(
+        ["scan", "--family", "thm1", "--g-range", "1:1", "--m-range", "0:2"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: chain length m must be >= 1, got 0\n"
     # the g-indexed families probe degree g whatever the bound
     code, _, _ = run_cli(["verdict", "--family", "thm1", "--g", "2", "--g-bound", "0"], capsys)
     assert code == 0

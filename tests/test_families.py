@@ -14,6 +14,7 @@ from weylcurve import (
     expected_feasible,
     recursion_step,
     run_family_verdict,
+    solve_pair,
     thm1_monomial_step,
     thm2_monomial_step,
     thm3_monomial_step,
@@ -104,24 +105,25 @@ def test_thm3_step_top_term_vanishes_at_admissible_degree():
 
 
 def test_monomial_steps_match_recursion():
-    # closed forms against the defining integral, symbolically, on a grid
-    # comfortably past 50 instances; the antiderivative has no constant term,
-    # so agreement is exact, not just up to the folded constant
+    # closed forms against the defining integral, symbolically, on every g
+    # and n that the benchmark's decide ladder uses, through every x-power its
+    # chains reach; the antiderivative has no constant term, so agreement is
+    # exact, not just up to the folded constant
     checked = 0
     ring1 = ParamRing(("A6", "A2", "C"))
-    for g in (1, 2, 3, 4):
+    for g in range(1, 9):
         _, V, W = build_family(FamilySpec("thm1", {"g": g}))
         V, W = V.lift(ring1), W.lift(ring1)
-        for k in range(5):
+        for k in range(g + 2):
             oracle = thm1_monomial_step(ring1, k, g, ring1.param("A6"), ring1.param("A2"))
             assert oracle == recursion_step(XPoly.monomial(ring1, 4 * k), V, W, "C")
             checked += 1
 
     ring2 = ParamRing(("A4", "A2", "A0", "C"))
-    for g in (1, 2, 3, 4):
+    for g in range(1, 9):
         _, V, W = build_family(FamilySpec("thm2", {"g": g}))
         V, W = V.lift(ring2), W.lift(ring2)
-        for k in range(5):
+        for k in range(g + 2):
             oracle = thm2_monomial_step(
                 ring2, k, g, ring2.param("A4"), ring2.param("A2"), ring2.param("A0")
             )
@@ -130,10 +132,10 @@ def test_monomial_steps_match_recursion():
 
     ring3 = ParamRing(("A", "B", "C"))
     a, b = ring3.param("A"), ring3.param("B")
-    for n in (4, 5, 6, 7):
+    for n in range(4, 9):
         V = XPoly.monomial(ring3, n, a)
         W = XPoly.monomial(ring3, n - 2, b)
-        for k in range(4):
+        for k in range(5 * (n - 2) + 1):
             oracle = thm3_monomial_step(ring3, k, n, a, b)
             assert oracle == recursion_step(XPoly.monomial(ring3, k), V, W, "C")
             checked += 1
@@ -221,6 +223,24 @@ def test_verdict_thm3_positive_and_negative():
     assert [r.status for r in bad.rows] == ["infeasible"] * 4
     assert all(r.curve is None for r in bad.rows)
     assert all(r.expected is False and r.matches_expected for r in bad.rows)
+
+
+def test_thm3_verdict_rows_match_separate_solves():
+    # the rows of one verdict share a chain prefix; each must equal a solve on its own
+    for n in range(4, 9):
+        spec = FamilySpec("thm3", {"n": n, "b_mult": 2})
+        _, V, W = build_family(spec)
+        rows = run_family_verdict(spec, g_bound=4).rows
+        assert [row.degree for row in rows] == [1, 2, 3, 4]
+        for row in rows:
+            solution = solve_pair(V, W, row.degree)
+            outcome = solution.outcome
+            assert row.status == outcome.status
+            assert row.assignment == {k: str(v) for k, v in sorted(outcome.assignment.items())}
+            assert row.free == outcome.free
+            assert row.side_conditions == tuple(str(p) for p in outcome.side_conditions)
+            assert row.curve == solution.curve
+            assert row.expected == expected_feasible(spec, row.degree)
 
 
 def test_verdict_wrong_k_never_closes():

@@ -66,6 +66,32 @@ def test_derivative_inverts_antiderivative(coeffs):
     assert q.coefficient(0) == 0
 
 
+SCALE_RING = ParamRing(("A",))
+_A = SCALE_RING.param("A")
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from((0, 1, -3, Fraction(2, 5), _A, 1 / _A, (_A - 1) / (_A + 2))), max_size=6
+    ),
+    st.integers(0, 6),
+    st.one_of(st.integers(-4, 4), st.fractions(max_denominator=7)),
+)
+def test_rational_scaling_matches_scalar_products(coeffs, order, factor):
+    # derivative, antiderivative and scale by a rational take one Fraction
+    # product per term; the full scalar product is the reference
+    p = XPoly(SCALE_RING, coeffs)
+    want = p
+    for _ in range(order):
+        want = XPoly(SCALE_RING, [SCALE_RING.const(i) * c for i, c in enumerate(want.coeffs) if i])
+    assert p.derivative(order) == want
+    assert p.antiderivative() == XPoly(
+        SCALE_RING, [0] + [c / SCALE_RING.const(i + 1) for i, c in enumerate(p.coeffs)]
+    )
+    assert p.scale(factor) == XPoly(SCALE_RING, [c * SCALE_RING.const(factor) for c in p.coeffs])
+
+
 def test_compose_basics():
     ring = ParamRing(())
     x, d = _xops(ring)
