@@ -673,8 +673,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"golden mismatch: output differs from {job.golden}", file=sys.stderr)
             code = 1
     if job.out is not None:
-        with open(job.out, "wb") as fh:
-            fh.write(payload)
+        try:
+            with open(job.out, "wb") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"error: cannot write output file: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload.decode("utf-8"))
     return code

@@ -30,7 +30,14 @@ from functools import reduce
 from math import factorial
 from typing import Mapping, Sequence
 
-from .scalars import ParamPoly, ParamRing, ParamScalar, RatLike, mpoly_gcd
+from .scalars import (
+    ParamPoly,
+    ParamRing,
+    ParamScalar,
+    RatLike,
+    _clear_denominators,
+    mpoly_gcd,
+)
 from .weyl import XPoly, dense_add, dense_mul
 from .chain import (
     ConstraintSystem,
@@ -222,12 +229,9 @@ def _lift(curve: SpectralCurve) -> ParamPoly:
     zname = "z_"
     while zname in ring:
         zname += "_"
-    lcm = ring.poly_one()
-    for c in curve.coeffs:
-        lcm = lcm * c.den.exact_div(mpoly_gcd(lcm, c.den))
     terms = {}
-    for power, c in enumerate(curve.coeffs):
-        for exp, coeff in (c.num * lcm.exact_div(c.den)).terms.items():
+    for power, num in enumerate(_clear_denominators(ring, curve.coeffs)[0]):
+        for exp, coeff in num.terms.items():
             terms[exp + (power,)] = coeff
     return ParamPoly(ring.extend([zname]), terms)
 

@@ -43,7 +43,7 @@ class ParamRing:
     order; values constructed over different rings never mix silently.
     """
 
-    __slots__ = ("names", "_index", "_zero_exp")
+    __slots__ = ("names", "_index", "_zero_exp", "_one")
 
     def __init__(self, names: Iterable[str] = ()):
         names = tuple(names)
@@ -57,6 +57,8 @@ class ParamRing:
         self.names = names
         self._index = {name: i for i, name in enumerate(names)}
         self._zero_exp = (0,) * len(names)
+        # one shared unit: a denominator that is this object is 1 at a glance
+        self._one = ParamPoly._raw(self, {self._zero_exp: Fraction(1)})
 
     def __len__(self) -> int:
         return len(self.names)
@@ -98,7 +100,7 @@ class ParamRing:
         return ParamPoly._raw(self, {self._zero_exp: value})
 
     def poly_one(self) -> "ParamPoly":
-        return self.poly_const(1)
+        return self._one
 
     def poly_param(self, name: str) -> "ParamPoly":
         i = self.index(name)
@@ -174,6 +176,8 @@ class ParamPoly:
         return not terms or (len(terms) == 1 and self.ring._zero_exp in terms)
 
     def is_one(self) -> bool:
+        if self is self.ring._one:
+            return True
         terms = self.terms
         return len(terms) == 1 and terms.get(self.ring._zero_exp) == 1
 
@@ -275,6 +279,13 @@ class ParamPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        const, poly = (other, self) if other.is_constant() else (self, other)
+        if const.is_constant():
+            # one Fraction product per term; a product of nonzero rationals is nonzero
+            if not const.terms:
+                return const
+            c = next(iter(const.terms.values()))
+            return ParamPoly._raw(self.ring, {exp: v * c for exp, v in poly.terms.items()})
         terms: dict[tuple[int, ...], Fraction] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
@@ -553,6 +564,20 @@ def mpoly_gcd(a: ParamPoly, b: ParamPoly) -> ParamPoly:
     return _gcd_rec(a, b).primitive()
 
 
+def _clear_denominators(ring: ParamRing, scalars) -> tuple[list[ParamPoly], ParamPoly]:
+    """(numerators, d) with scalars[i] == numerators[i] / d, d the lcm of the denominators.
+
+    d is the ring's shared unit when every denominator is 1.
+    """
+    d = ring.poly_one()
+    for c in scalars:
+        if not c.den.is_one():
+            d = d * c.den.exact_div(mpoly_gcd(d, c.den))
+    if d.is_one():
+        return [c.num for c in scalars], d
+    return [c.num * d.exact_div(c.den) for c in scalars], d
+
+
 def _same_rings(a: ParamRing, b: ParamRing) -> None:
     """Raise unless a and b are one ring; usually they are the same object."""
     if a is not b and a != b:
@@ -560,6 +585,8 @@ def _same_rings(a: ParamRing, b: ParamRing) -> None:
 
 
 def _coerce_scalar(ring: ParamRing, value) -> "ParamScalar":
+    if type(value) is ParamScalar and value.num.ring is ring:
+        return value
     if isinstance(value, (ParamScalar, ParamPoly)):
         _same_rings(value.ring, ring)
         return value if isinstance(value, ParamScalar) else value.as_scalar()
@@ -623,6 +650,8 @@ class ParamScalar:
     # -- arithmetic ---------------------------------------------------------------
 
     def _coerce(self, other) -> "ParamScalar | None":
+        if type(other) is ParamScalar and other.num.ring is self.num.ring:
+            return other
         if isinstance(other, (ParamScalar, ParamPoly)):
             _same_rings(self.ring, other.ring)
             return other if isinstance(other, ParamScalar) else other.as_scalar()

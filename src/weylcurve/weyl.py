@@ -2,18 +2,36 @@
 
 ``XPoly`` is a dense polynomial in the variable x whose coefficients are
 exact parameter scalars.  ``DiffOp`` is a differential operator written in
-normal form sum_i c_i(x) D^i with D = d/dx; composition uses the Leibniz
-expansion (a D^i)(b D^j) = sum_k C(i,k) a b^(k) D^(i+j-k), which keeps every
-operator in normal form.  Degrees and orders use None for the zero element.
+normal form sum_i c_i(x) D^i with D = d/dx.  Composition multiplies term by
+term with the normal-ordering rule of the Weyl algebra
+
+    (x^p D^i)(x^q D^j) = sum_{k=0}^{min(i,q)} C(i,k) q!/(q-k)! x^(p+q-k) D^(i+j-k),
+
+so each pair of nonzero terms costs one product of parameter polynomials.
+Both products run on the terms dicts of the coefficient numerators and build
+scalar objects once, at the end.  A coefficient with a denominator other than
+1 is handled by clearing denominators: the parameters are constants for D, so
+with N/d the coefficients of an operand over their lcm d,
+(N_L/d_L)(N_R/d_R) = (N_L N_R)/(d_L d_R), and each result coefficient is then
+reduced by ``ParamScalar``.  Degrees and orders use None for the zero element.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, perm
+from operator import add
 from typing import Iterable, Mapping
 
-from .scalars import ParamRing, ParamScalar, RatLike, _coerce_scalar, _same_rings
+from .scalars import (
+    ParamPoly,
+    ParamRing,
+    ParamScalar,
+    RatLike,
+    _clear_denominators,
+    _coerce_scalar,
+    _same_rings,
+)
 
 
 def dense_add(a, b) -> list:
@@ -42,6 +60,33 @@ def dense_mul(a, b, zero) -> list:
     return [zero if c is None else c for c in out]
 
 
+def _cleared(ring: ParamRing, scalars) -> tuple[list, ParamPoly]:
+    """(numerator term lists, d) with scalars[i] == numerators[i] / d."""
+    nums, d = _clear_denominators(ring, scalars)
+    return [list(n.terms.items()) for n in nums], d
+
+
+def _mul_into(acc: dict, ta: list, tb: list, wide: bool) -> None:
+    """Add the product of two term lists into the exponent -> Fraction dict acc."""
+    for ea, ca in ta:
+        for eb, cb in tb:
+            exp = tuple(map(add, ea, eb)) if wide else ea
+            v = acc.get(exp)
+            acc[exp] = ca * cb if v is None else v + ca * cb
+
+
+def _product_den(dl: ParamPoly, dr: ParamPoly) -> ParamPoly:
+    return dr if dl.is_one() else dl if dr.is_one() else dl * dr
+
+
+def _scalar(ring: ParamRing, acc: dict, den: ParamPoly) -> ParamScalar:
+    """The scalar acc / den from accumulated terms that may hold zeros."""
+    num = ParamPoly._raw(ring, {exp: c for exp, c in acc.items() if c})
+    if den.is_one():
+        return ParamScalar._raw(num, ring.poly_one())
+    return ParamScalar(num, den)
+
+
 class XPoly:
     """Dense polynomial in x over the parameter scalars; index = power of x."""
 
@@ -53,6 +98,17 @@ class XPoly:
             cs.pop()
         self.ring = ring
         self.coeffs = tuple(cs)
+
+    @classmethod
+    def _raw(cls, ring: ParamRing, coeffs: list) -> "XPoly":
+        # Trusted constructor: `coeffs` are ParamScalars over `ring`; only
+        # trailing zeros are trimmed.
+        while coeffs and coeffs[-1].is_zero():
+            coeffs.pop()
+        self = object.__new__(cls)
+        self.ring = ring
+        self.coeffs = tuple(coeffs)
+        return self
 
     @classmethod
     def zero(cls, ring: ParamRing) -> "XPoly":
@@ -115,12 +171,12 @@ class XPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return XPoly(self.ring, dense_add(self.coeffs, other.coeffs))
+        return XPoly._raw(self.ring, dense_add(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return XPoly(self.ring, [-c for c in self.coeffs])
+        return XPoly._raw(self.ring, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -139,27 +195,53 @@ class XPoly:
             return self.scale(other)
         if not isinstance(other, XPoly):
             return NotImplemented
-        _same_rings(self.ring, other.ring)
-        return XPoly(self.ring, dense_mul(self.coeffs, other.coeffs, self.ring.zero()))
+        ring = self.ring
+        _same_rings(ring, other.ring)
+        if not self.coeffs or not other.coeffs:
+            return XPoly._raw(ring, [])
+        # a square takes each cross product a_i a_j (i < j) once, doubled below
+        square = other is self
+        left, dl = _cleared(ring, self.coeffs)
+        right, dr = (left, dl) if square else _cleared(ring, other.coeffs)
+        right = [(j, tb) for j, tb in enumerate(right) if tb]
+        wide = bool(ring.names)
+        accs = [{} for _ in range(len(left) + len(other.coeffs) - 1)]
+        cross = [{} for _ in accs] if square else accs
+        for i, ta in enumerate(left):
+            if ta:
+                for j, tb in right:
+                    if j > i or not square:
+                        _mul_into(cross[i + j], ta, tb, wide)
+                    elif j == i:
+                        _mul_into(accs[2 * i], ta, ta, wide)
+        if square:
+            for acc, twice in zip(accs, cross):
+                for exp, c in twice.items():
+                    v = acc.get(exp)
+                    acc[exp] = c * 2 if v is None else v + c * 2
+        den = _product_den(dl, dr)
+        zero = ring.zero()
+        return XPoly._raw(ring, [_scalar(ring, acc, den) if acc else zero for acc in accs])
 
     __rmul__ = __mul__
 
     def scale(self, value) -> "XPoly":
         if isinstance(value, (int, Fraction)):
-            return XPoly(self.ring, [c._scale(value) for c in self.coeffs] if value else ())
+            return XPoly._raw(self.ring, [c._scale(value) for c in self.coeffs] if value else [])
         value = _coerce_scalar(self.ring, value)
-        return XPoly(self.ring, [c * value for c in self.coeffs])
+        return XPoly._raw(self.ring, [c * value for c in self.coeffs])
 
     def __pow__(self, power: int):
         if not isinstance(power, int) or power < 0:
             raise ValueError(f"power must be a nonnegative integer, got {power!r}")
-        out = XPoly.const(self.ring, 1)
-        base = self
-        while power:
-            if power & 1:
-                out = out * base
-            base = base * base
-            power >>= 1
+        if power == 0:
+            return XPoly.const(self.ring, 1)
+        # left to right: square the result, then multiply by the (short) base
+        out = self
+        for bit in bin(power)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     # -- calculus ------------------------------------------------------------------
@@ -167,13 +249,13 @@ class XPoly:
     def derivative(self, order: int = 1) -> "XPoly":
         if order < 0:
             raise ValueError(f"negative derivative order {order}")
-        return XPoly(
+        return XPoly._raw(
             self.ring, [c._scale(perm(i, order)) for i, c in enumerate(self.coeffs) if i >= order]
         )
 
     def antiderivative(self) -> "XPoly":
         """The antiderivative whose constant term is zero."""
-        return XPoly(
+        return XPoly._raw(
             self.ring,
             [self.ring.zero()] + [c._scale(Fraction(1, i + 1)) for i, c in enumerate(self.coeffs)],
         )
@@ -346,25 +428,38 @@ class DiffOp:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        ring = self.ring
         if self.is_zero() or other.is_zero():
-            return DiffOp.zero(self.ring)
-        zero = XPoly.zero(self.ring)
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for j, b in enumerate(other.coeffs):
-            if b.is_zero():
-                continue
-            # b, b', b'', ... reused across all left factors
-            derivs = [b]
-            for i, a in enumerate(self.coeffs):
-                if a.is_zero():
-                    continue
-                while len(derivs) <= i:
-                    derivs.append(derivs[-1].derivative())
-                for k in range(i + 1):
-                    if derivs[k].is_zero():
-                        break
-                    out[i + j - k] = out[i + j - k] + comb(i, k) * a * derivs[k]
-        return DiffOp(self.ring, out)
+            return DiffOp.zero(ring)
+        lkeys, lscalars = _terms_of(self)
+        rkeys, rscalars = _terms_of(other)
+        left, dl = _cleared(ring, lscalars)
+        right, dr = _cleared(ring, rscalars)
+        right = list(zip(rkeys, right))
+        wide = bool(ring.names)
+        # (D-order, x-power) -> accumulated terms of that coefficient
+        out: dict[tuple[int, int], dict] = {}
+        for (i, p), ta in zip(lkeys, left):
+            for (j, q), tb in right:
+                prod: dict = {}
+                _mul_into(prod, ta, tb, wide)
+                for k in range(min(i, q) + 1):
+                    f = comb(i, k) * perm(q, k)
+                    acc = out.setdefault((i + j - k, p + q - k), {})
+                    for exp, c in prod.items():
+                        if f != 1:
+                            c = c * f
+                        v = acc.get(exp)
+                        acc[exp] = c if v is None else v + c
+        den = _product_den(dl, dr)
+        zero = ring.zero()
+        rows: list[list] = [[] for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
+        for (order, power), acc in out.items():
+            row = rows[order]
+            if len(row) <= power:
+                row.extend([zero] * (power + 1 - len(row)))
+            row[power] = _scalar(ring, acc, den)
+        return DiffOp(ring, [XPoly._raw(ring, row) for row in rows])
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, ParamScalar)):
@@ -380,8 +475,10 @@ class DiffOp:
     def __pow__(self, power: int):
         if not isinstance(power, int) or power < 0:
             raise ValueError(f"power must be a nonnegative integer, got {power!r}")
-        out = DiffOp.identity(self.ring)
-        for _ in range(power):
+        if power == 0:
+            return DiffOp.identity(self.ring)
+        out = self
+        for _ in range(power - 1):
             out = out * self
         return out
 
@@ -435,6 +532,17 @@ class DiffOp:
 
     def __repr__(self) -> str:
         return f"DiffOp({self})"
+
+
+def _terms_of(op: DiffOp) -> tuple[list, list]:
+    """((D-order, x-power) keys, scalars) of the nonzero terms of op."""
+    keys, scalars = [], []
+    for i, a in enumerate(op.coeffs):
+        for p, c in enumerate(a.coeffs):
+            if c:
+                keys.append((i, p))
+                scalars.append(c)
+    return keys, scalars
 
 
 def _render_op_term(c: XPoly, order: int) -> tuple[bool, str]:

@@ -274,7 +274,7 @@ def test_oracle_check(capsys):
     assert all(row["agree"] for row in report["result"]["rows"])
 
 
-def test_input_errors_exit_2(capsys):
+def test_input_errors_exit_2(capsys, tmp_path):
     # malformed expression: position is reported
     code, _, err = run_cli(
         ["curve", "--params", "A", "--V", "A*x^", "--W", "x", "--m", "1"], capsys
@@ -339,6 +339,13 @@ def test_input_errors_exit_2(capsys):
     # the g-indexed families probe degree g whatever the bound
     code, _, _ = run_cli(["verdict", "--family", "thm1", "--g", "2", "--g-bound", "0"], capsys)
     assert code == 0
+    # an --out file that cannot be written
+    code, out, err = run_cli(
+        ["commutator", "--family", "dixmier_rank2", "--out", str(tmp_path / "missing" / "r.json")],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write output file:") and "Traceback" not in err
     # unknown family is rejected at argument parsing, also with code 2
     with pytest.raises(SystemExit) as exc:
         main(["verdict", "--family", "thm9"])

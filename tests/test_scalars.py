@@ -260,6 +260,31 @@ def test_constant_and_one_match_a_full_scan(p):
     assert p.is_one() == (_is_constant_by_scan(p) and p.constant_value() == 1)
 
 
+def test_shared_unit():
+    one = _RING.poly_one()
+    assert one is _RING.poly_one() is _RING.one().den is _RING.param("A6").den
+    # a 1 built another way still reads as one
+    other = ParamPoly(_RING, {(0, 0): 1})
+    assert other is not one and other.is_one() and other == one
+    assert not ParamPoly(_RING, {(0, 0): 2}).is_one()
+    # an equal ring that is another object still mixes
+    twin = ParamRing(_RING.names)
+    assert twin.param("A6") * _RING.param("A2") == _RING.param("A6") * _RING.param("A2")
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(), st.one_of(constant_polys, polys()))
+def test_poly_product_matches_term_by_term(p, q):
+    # a constant factor takes one Fraction product per term
+    want = ParamPoly(
+        _RING,
+        [((ea[0] + eb[0], ea[1] + eb[1]), ca * cb)
+         for ea, ca in p.terms.items() for eb, cb in q.terms.items()],
+    )
+    assert p * q == want
+    assert q * p == want
+
+
 _A6, _A2 = _RING.param("A6"), _RING.param("A2")
 
 binding_values = st.one_of(
