@@ -28,34 +28,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .scalars import ParamPoly, ParamRing, ParamScalar, RatLike
-from .weyl import XPoly, dense_add, dense_mul, xpoly_integrate
+from .weyl import XPoly, _Dense, _xpoly_entry, dense_mul, xpoly_integrate
 
 
 class ChainError(ValueError):
     """A structural problem while building or solving a chain."""
 
 
-class QPoly:
+class QPoly(_Dense):
     """Polynomial in the spectral variable z with XPoly coefficients."""
 
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring: ParamRing, coeffs: Iterable = ()):
-        cs = []
-        for c in coeffs:
-            if isinstance(c, XPoly):
-                if c.ring != ring:
-                    raise ValueError("mixed parameter rings in QPoly")
-                cs.append(c)
-            else:
-                cs.append(XPoly.const(ring, c))
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.ring = ring
-        self.coeffs = tuple(cs)
+    __slots__ = ()
+    _entry = staticmethod(_xpoly_entry)
 
     @classmethod
     def from_xpoly(cls, p: XPoly) -> "QPoly":
@@ -63,73 +50,33 @@ class QPoly:
 
     @classmethod
     def z(cls, ring: ParamRing) -> "QPoly":
-        return cls(ring, [XPoly.zero(ring), XPoly.const(ring, 1)])
-
-    def coefficient(self, power: int) -> XPoly:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
-        return XPoly.zero(self.ring)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def _same_ring(self, other: "QPoly") -> None:
-        if self.ring is not other.ring and self.ring != other.ring:
-            raise ValueError("mixed parameter rings in QPoly arithmetic")
-
-    def __add__(self, other: "QPoly") -> "QPoly":
-        self._same_ring(other)
-        return QPoly(self.ring, dense_add(self.coeffs, other.coeffs))
-
-    def __neg__(self) -> "QPoly":
-        return QPoly(self.ring, [-c for c in self.coeffs])
-
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        return self + (-other)
+        return cls._raw(ring, [XPoly.zero(ring), XPoly.const(ring, 1)])
 
     def __mul__(self, other: "QPoly") -> "QPoly":
-        self._same_ring(other)
-        return QPoly(self.ring, dense_mul(self.coeffs, other.coeffs, XPoly.zero(self.ring)))
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return QPoly._raw(self.ring, dense_mul(self.coeffs, other.coeffs, XPoly.zero(self.ring)))
 
     def scale_x(self, p) -> "QPoly":
         """Multiply every z-coefficient by an x-polynomial or scalar."""
         if not isinstance(p, XPoly):
             p = XPoly.const(self.ring, p)
-        return QPoly(self.ring, [c * p for c in self.coeffs])
+        return QPoly._raw(self.ring, [c * p for c in self.coeffs])
 
     def times_z(self) -> "QPoly":
-        return QPoly(self.ring, (XPoly.zero(self.ring),) + self.coeffs)
+        return QPoly._raw(self.ring, [XPoly.zero(self.ring), *self.coeffs])
 
     def dx(self, order: int = 1) -> "QPoly":
         """Derivative in x, coefficientwise."""
-        return QPoly(self.ring, [c.derivative(order) for c in self.coeffs])
+        return QPoly._raw(self.ring, [c.derivative(order) for c in self.coeffs])
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        return self.ring == other.ring and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.ring.names, self.coeffs))
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for power in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coefficient(power)
-            if c.is_zero():
-                continue
-            if power == 0:
-                body = f"({c})"
-            else:
-                z_part = "z" if power == 1 else f"z^{power}"
-                body = z_part if c == 1 else f"({c})*{z_part}"
-            parts.append(body)
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"QPoly({self})"
+    @staticmethod
+    def _term(c: XPoly, power: int) -> tuple[bool, str]:
+        if power == 0:
+            return False, f"({c})"
+        z_part = "z" if power == 1 else f"z^{power}"
+        return False, z_part if c == 1 else f"({c})*{z_part}"
 
 
 def recursion_step(a: XPoly, V: XPoly, W: XPoly, constant) -> XPoly:
@@ -418,7 +365,7 @@ def assemble_q(
 
     if not entry(chain.m + 1).is_constant():
         raise ChainError("closing entry stayed x-dependent after substitution")
-    return QPoly(ring, [entry(i) for i in range(chain.m, 0, -1)] + [XPoly.const(ring, 1)])
+    return QPoly._raw(ring, [entry(i) for i in range(chain.m, 0, -1)] + [XPoly.const(ring, 1)])
 
 
 def _at_constants(value: ParamScalar, ring: ParamRing, at: list[Fraction]) -> ParamScalar:
@@ -461,4 +408,4 @@ def residual_eq2(Q: QPoly, V: XPoly, W: XPoly) -> QPoly:
             d3.derivative(2) + four_v * d3 + six_dv * d2 + first * d1 + zeroth * a + below
         )
         below = d1.scale(4)
-    return QPoly(ring, out)
+    return QPoly._raw(ring, out)

@@ -252,6 +252,10 @@ def job_from_args(args: argparse.Namespace) -> JobSpec:
                     f"document key 'm' must be a positive integer, got {m_doc!r}"
                 )
             job.m = m_doc
+    try:
+        ParamRing(job.params)  # reserved, duplicate and malformed names
+    except ValueError as exc:
+        raise CliInputError(str(exc)) from None
     undeclared = sorted(set(bindings) - set(job.params))
     if undeclared:
         raise CliInputError(
@@ -552,7 +556,8 @@ def _run_scan(job: JobSpec) -> tuple[int, dict]:
                 row["curve"] = str(curve)
                 row["repeated_factors"] = _repeated_factors(curve)
                 if not curve.free_params():
-                    row["singular"] = curve_is_singular(curve).singular
+                    # over Q, F is singular iff its squarefree split repeats a factor
+                    row["singular"] = bool(row["repeated_factors"])
             rows.append(row)
     report = {
         "command": "scan",

@@ -665,6 +665,8 @@ class ParamScalar:
             return NotImplemented
         if self.den.is_one() and other.den.is_one():
             return ParamScalar._raw(self.num + other.num, self.den)
+        if self.den == other.den:
+            return ParamScalar(self.num + other.num, self.den)
         return ParamScalar(
             self.num * other.den + other.num * self.den, self.den * other.den
         )

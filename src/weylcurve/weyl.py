@@ -1,9 +1,24 @@
 """Polynomials in x and differential operators with polynomial coefficients.
 
-``XPoly`` is a dense polynomial in the variable x whose coefficients are
-exact parameter scalars.  ``DiffOp`` is a differential operator written in
-normal form sum_i c_i(x) D^i with D = d/dx.  Composition multiplies term by
-term with the normal-ordering rule of the Weyl algebra
+Every coefficient sequence of the engine is a ``_Dense``: a parameter ring
+plus an ascending tuple of entries with no trailing zeros.  ``_Dense`` owns
+construction and trimming, the zero value, coefficient access, addition,
+negation and subtraction, lifting to a larger ring, equality, hashing and
+the descending-power display loop.  A subclass says how a constructor
+argument becomes an entry (``_entry``), which other operands arithmetic and
+equality promote to a one-entry value (``_OPERANDS``) and how one nonzero
+term is displayed (``_term``), and adds its own products and calculus:
+
+- ``XPoly`` is a dense polynomial in the variable x whose entries are exact
+  parameter scalars; it adds products, powers, derivatives and integrals.
+- ``DiffOp`` is a differential operator written in normal form
+  sum_i c_i(x) D^i with D = d/dx and XPoly entries; it adds composition,
+  commutators and application to an XPoly.
+- ``chain.QPoly`` is the certificate Q(x, z), a polynomial in the spectral
+  variable z with XPoly entries; it adds z-products and x-derivatives.
+
+Composition multiplies term by term with the normal-ordering rule of the
+Weyl algebra
 
     (x^p D^i)(x^q D^j) = sum_{k=0}^{min(i,q)} C(i,k) q!/(q-k)! x^(p+q-k) D^(i+j-k),
 
@@ -87,32 +102,127 @@ def _scalar(ring: ParamRing, acc: dict, den: ParamPoly) -> ParamScalar:
     return ParamScalar(num, den)
 
 
-class XPoly:
-    """Dense polynomial in x over the parameter scalars; index = power of x."""
+def _trim(coeffs: list) -> tuple:
+    while coeffs and coeffs[-1].is_zero():
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+class _Dense:
+    """A parameter ring and an ascending tuple of entries without trailing zeros.
+
+    Subclasses set ``_entry(ring, value)``, which turns one constructor
+    argument into an entry over ``ring``; ``_OPERANDS``, the types that
+    arithmetic and equality promote to a one-entry value; and
+    ``_term(entry, index)``, the (is_negative, text) of one nonzero term.
+    """
 
     __slots__ = ("ring", "coeffs")
+    _OPERANDS: tuple = ()
 
     def __init__(self, ring: ParamRing, coeffs: Iterable = ()):
-        cs = [_coerce_scalar(ring, c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
         self.ring = ring
-        self.coeffs = tuple(cs)
+        self.coeffs = _trim([self._entry(ring, c) for c in coeffs])
 
     @classmethod
-    def _raw(cls, ring: ParamRing, coeffs: list) -> "XPoly":
-        # Trusted constructor: `coeffs` are ParamScalars over `ring`; only
+    def _raw(cls, ring: ParamRing, coeffs: list):
+        # Trusted constructor: `coeffs` are entries over `ring`; only
         # trailing zeros are trimmed.
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
         self = object.__new__(cls)
         self.ring = ring
-        self.coeffs = tuple(coeffs)
+        self.coeffs = _trim(coeffs)
         return self
 
     @classmethod
-    def zero(cls, ring: ParamRing) -> "XPoly":
-        return cls(ring)
+    def zero(cls, ring: ParamRing):
+        return cls._raw(ring, [])
+
+    # -- views -----------------------------------------------------------------
+
+    def coefficient(self, power: int):
+        """The entry at `power`; the zero entry outside the stored range."""
+        if 0 <= power < len(self.coeffs):
+            return self.coeffs[power]
+        return self._entry(self.ring, 0)
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    # -- arithmetic ------------------------------------------------------------
+
+    def _coerce(self, other):
+        """`other` as a value of this class over this ring; None for no operand."""
+        if isinstance(other, type(self)):
+            _same_rings(self.ring, other.ring)
+            return other
+        if isinstance(other, self._OPERANDS):
+            return self._raw(self.ring, [self._entry(self.ring, other)])
+        return None
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._raw(self.ring, dense_add(self.coeffs, other.coeffs))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._raw(self.ring, [-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+    def lift(self, ring: ParamRing):
+        if ring == self.ring:
+            return self
+        return self._raw(ring, [c.lift(ring) for c in self.coeffs])
+
+    # -- equality and display --------------------------------------------------
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            # an operand over another ring is unequal, not an error
+            if getattr(other, "ring", self.ring) != self.ring:
+                return False
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self.ring == other.ring and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.ring.names, self.coeffs))
+
+    def __str__(self) -> str:
+        parts: list[str] = []
+        for i in range(len(self.coeffs) - 1, -1, -1):
+            c = self.coeffs[i]
+            if not c.is_zero():
+                parts.append(_join_term(parts, self._term(c, i)))
+        return "".join(parts) or "0"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+class XPoly(_Dense):
+    """Dense polynomial in x over the parameter scalars; index = power of x."""
+
+    __slots__ = ()
+    _entry = staticmethod(_coerce_scalar)
+    _OPERANDS = (int, Fraction, ParamScalar)
 
     @classmethod
     def const(cls, ring: ParamRing, value) -> "XPoly":
@@ -135,21 +245,13 @@ class XPoly:
         """Degree in x; None for the zero polynomial."""
         return len(self.coeffs) - 1 if self.coeffs else None
 
-    def coefficient(self, power: int) -> ParamScalar:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
-        return self.ring.zero()
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
 
     def constant_value(self) -> ParamScalar:
         if not self.is_constant():
             raise ValueError(f"not constant in x: {self}")
-        return self.coeffs[0] if self.coeffs else self.ring.zero()
+        return self.coefficient(0)
 
     def free_params(self) -> frozenset[str]:
         out: frozenset[str] = frozenset()
@@ -158,37 +260,6 @@ class XPoly:
         return out
 
     # -- arithmetic ------------------------------------------------------------
-
-    def _coerce(self, other) -> "XPoly | None":
-        if isinstance(other, XPoly):
-            _same_rings(self.ring, other.ring)
-            return other
-        if isinstance(other, (int, Fraction, ParamScalar)):
-            return XPoly(self.ring, [other])
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return XPoly._raw(self.ring, dense_add(self.coeffs, other.coeffs))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return XPoly._raw(self.ring, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, ParamScalar)):
@@ -260,44 +331,12 @@ class XPoly:
             [self.ring.zero()] + [c._scale(Fraction(1, i + 1)) for i, c in enumerate(self.coeffs)],
         )
 
-    # -- substitution and lifting ----------------------------------------------------
-
     def substitute_params(self, bindings: Mapping[str, "RatLike | ParamScalar"]) -> "XPoly":
-        return XPoly(self.ring, [c.substitute(bindings) for c in self.coeffs])
+        return XPoly._raw(self.ring, [c.substitute(bindings) for c in self.coeffs])
 
-    def lift(self, ring: ParamRing) -> "XPoly":
-        if ring == self.ring:
-            return self
-        return XPoly(ring, [c.lift(ring) for c in self.coeffs])
-
-    # -- equality and display ----------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction, ParamScalar)):
-            return self.is_constant() and self.constant_value() == other
-        if not isinstance(other, XPoly):
-            return NotImplemented
-        return self.ring == other.ring and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.ring.names, self.coeffs))
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts: list[str] = []
-        for power in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[power]
-            if c.is_zero():
-                continue
-            parts.append(_join_term(parts, _render_coeff_power(c, "x", power)))
-        return "".join(parts)
-
-    def __repr__(self) -> str:
-        return f"XPoly({self})"
+    @staticmethod
+    def _term(c: ParamScalar, power: int) -> tuple[bool, str]:
+        return _render_coeff_power(c, "x", power)
 
 
 def _scalar_sign_body(c: ParamScalar) -> tuple[bool, str]:
@@ -337,27 +376,20 @@ def xpoly_integrate(p: XPoly, constant: "RatLike | ParamScalar | str" = 0) -> XP
     return p.antiderivative() + XPoly.const(p.ring, constant)
 
 
-class DiffOp:
+def _xpoly_entry(ring: ParamRing, value) -> XPoly:
+    """An XPoly over `ring`, or a scalar-like value as a constant XPoly."""
+    if isinstance(value, XPoly):
+        _same_rings(ring, value.ring)
+        return value
+    return XPoly.const(ring, value)
+
+
+class DiffOp(_Dense):
     """Differential operator sum_i c_i(x) D^i in normal form; index = D-order."""
 
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring: ParamRing, coeffs: Iterable = ()):
-        cs = []
-        for c in coeffs:
-            if isinstance(c, XPoly):
-                _same_rings(ring, c.ring)
-                cs.append(c)
-            else:
-                cs.append(XPoly.const(ring, c))
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.ring = ring
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls, ring: ParamRing) -> "DiffOp":
-        return cls(ring)
+    __slots__ = ()
+    _entry = staticmethod(_xpoly_entry)
+    _OPERANDS = (int, Fraction, ParamScalar, XPoly)
 
     @classmethod
     def identity(cls, ring: ParamRing) -> "DiffOp":
@@ -373,53 +405,12 @@ class DiffOp:
     def from_xpoly(cls, p: XPoly) -> "DiffOp":
         return cls(p.ring, [p])
 
-    # -- views -------------------------------------------------------------------
-
     @property
     def order(self) -> int | None:
         """Order as a differential operator; None for the zero operator."""
         return len(self.coeffs) - 1 if self.coeffs else None
 
-    def coefficient(self, order: int) -> XPoly:
-        if 0 <= order < len(self.coeffs):
-            return self.coeffs[order]
-        return XPoly.zero(self.ring)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     # -- arithmetic -----------------------------------------------------------------
-
-    def _coerce(self, other) -> "DiffOp | None":
-        if isinstance(other, (DiffOp, XPoly)):
-            _same_rings(self.ring, other.ring)
-            return other if isinstance(other, DiffOp) else DiffOp.from_xpoly(other)
-        if isinstance(other, (int, Fraction, ParamScalar)):
-            return DiffOp(self.ring, [XPoly.const(self.ring, other)])
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return DiffOp(self.ring, dense_add(self.coeffs, other.coeffs))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return DiffOp(self.ring, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         """Operator composition (not commutative)."""
@@ -459,7 +450,7 @@ class DiffOp:
             if len(row) <= power:
                 row.extend([zero] * (power + 1 - len(row)))
             row[power] = _scalar(ring, acc, den)
-        return DiffOp(ring, [XPoly._raw(ring, row) for row in rows])
+        return DiffOp._raw(ring, [XPoly._raw(ring, row) for row in rows])
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, ParamScalar)):
@@ -470,7 +461,7 @@ class DiffOp:
 
     def scale(self, value) -> "DiffOp":
         value = _coerce_scalar(self.ring, value)
-        return DiffOp(self.ring, [c.scale(value) for c in self.coeffs])
+        return DiffOp._raw(self.ring, [c.scale(value) for c in self.coeffs])
 
     def __pow__(self, power: int):
         if not isinstance(power, int) or power < 0:
@@ -493,45 +484,23 @@ class DiffOp:
                 out = out + c * p.derivative(i)
         return out
 
-    # -- substitution and lifting -------------------------------------------------------
-
     def substitute_params(self, bindings: Mapping[str, "RatLike | ParamScalar"]) -> "DiffOp":
-        return DiffOp(self.ring, [c.substitute_params(bindings) for c in self.coeffs])
+        return DiffOp._raw(self.ring, [c.substitute_params(bindings) for c in self.coeffs])
 
-    def lift(self, ring: ParamRing) -> "DiffOp":
-        if ring == self.ring:
-            return self
-        return DiffOp(ring, [c.lift(ring) for c in self.coeffs])
-
-    # -- equality and display ----------------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction, ParamScalar, XPoly)):
-            coerced = self._coerce(other)
-            return coerced is not None and self == coerced
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        return self.ring == other.ring and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.ring.names, self.coeffs))
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts: list[str] = []
-        for order in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[order]
-            if c.is_zero():
-                continue
-            parts.append(_join_term(parts, _render_op_term(c, order)))
-        return "".join(parts)
-
-    def __repr__(self) -> str:
-        return f"DiffOp({self})"
+    @staticmethod
+    def _term(c: XPoly, order: int) -> tuple[bool, str]:
+        if len(c.coeffs) == sum(1 for s in c.coeffs if s.is_zero()) + 1:
+            # single x-power: inline it
+            power = max(i for i, s in enumerate(c.coeffs) if not s.is_zero())
+            neg, body = _render_coeff_power(c.coeffs[power], "x", power)
+        else:
+            neg, body = False, f"({c})"
+        if order == 0:
+            return neg, body
+        d_part = "D" if order == 1 else f"D^{order}"
+        if body == "1":
+            return neg, d_part
+        return neg, f"{body}*{d_part}"
 
 
 def _terms_of(op: DiffOp) -> tuple[list, list]:
@@ -545,26 +514,11 @@ def _terms_of(op: DiffOp) -> tuple[list, list]:
     return keys, scalars
 
 
-def _render_op_term(c: XPoly, order: int) -> tuple[bool, str]:
-    if len(c.coeffs) == sum(1 for s in c.coeffs if s.is_zero()) + 1:
-        # single x-power: inline it
-        power = max(i for i, s in enumerate(c.coeffs) if not s.is_zero())
-        neg, body = _render_coeff_power(c.coeffs[power], "x", power)
-    else:
-        neg, body = False, f"({c})"
-    if order == 0:
-        return neg, body
-    d_part = "D" if order == 1 else f"D^{order}"
-    if body == "1":
-        return neg, d_part
-    return neg, f"{body}*{d_part}"
-
-
 def build_square_form(V: XPoly, W: XPoly) -> DiffOp:
     """The operator (D^2 + V)^2 + W = D^4 + 2V D^2 + 2V' D + (V'' + V^2 + W)."""
     _same_rings(V.ring, W.ring)
     ring = V.ring
-    return DiffOp(
+    return DiffOp._raw(
         ring,
         [
             V.derivative(2) + V * V + W,

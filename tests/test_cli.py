@@ -239,6 +239,7 @@ def test_scan_grid(capsys):
         ("thm1", {}, {"A6": "1/2", "A2": "-3"}, (1, 3), (1, 5)),
         ("thm2", {}, {"A4": "1", "A2": "0", "A0": "0"}, (2, 3), (1, 4)),
         ("thm3", {"n": 5, "b_mult": 1}, {}, None, (1, 3)),
+        ("thm1", {}, {"A6": "1", "A2": "1"}, (1, 2), (1, 3)),
     ],
 )
 def test_scan_rows_match_separate_solves(family, shape, bind, g_range, m_range, capsys):
@@ -264,6 +265,10 @@ def test_scan_rows_match_separate_solves(family, shape, bind, g_range, m_range, 
         assert row["status"] == solution.outcome.status
         assert row["free"] == list(solution.outcome.free)
         assert row["curve"] == (str(solution.curve) if solution.curve else None)
+        if solution.curve is not None and not solution.curve.free_params():
+            assert row["singular"] == curve_is_singular(solution.curve).singular
+        else:
+            assert row["singular"] is None
 
 
 def test_oracle_check(capsys):
@@ -330,6 +335,21 @@ def test_input_errors_exit_2(capsys, tmp_path):
     )
     assert code == 2
     assert err.startswith("error:") and "no degree" in err
+    # a reserved, duplicate or malformed parameter name, inline or in a document
+    for params, message in (("x", "parameter name 'x' is reserved"),
+                            ("D", "parameter name 'D' is reserved"),
+                            ("A,z", "parameter name 'z' is reserved"),
+                            ("A,A", "duplicate parameter names"),
+                            ("A-B", "invalid parameter name 'A-B'")):
+        code, out, err = run_cli(
+            ["curve", "--params", params, "--V", "x^4", "--W", "8*x^2", "--m", "1"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
+    code, out, err = run_cli(
+        ["commutator"], capsys, stdin=json.dumps({"params": ["x"], "L": "D^2", "M": "D^3"})
+    )
+    assert (code, out, err) == (2, "", "error: parameter name 'x' is reserved\n")
     # a scan whose first degree is 0 fails before any chain is shared
     code, out, err = run_cli(
         ["scan", "--family", "thm1", "--g-range", "1:1", "--m-range", "0:2"], capsys

@@ -213,6 +213,16 @@ def test_scalar_field_axioms(s, t):
         assert t / t == 1
 
 
+@settings(max_examples=60, deadline=None)
+@given(polys(), polys(), polys().filter(lambda p: not p.is_constant()))
+def test_sum_over_a_shared_denominator_matches_cross_multiplying(a, b, d):
+    for c in (b, b * d - a):  # the second sum reduces to b: the shared d cancels
+        s, t = ParamScalar(a, d), ParamScalar(c, d)
+        crossed = ParamScalar(s.num * t.den + t.num * s.den, s.den * t.den)
+        total = s + t
+        assert (total.num, total.den) == (crossed.num, crossed.den)
+
+
 @settings(max_examples=40, deadline=None)
 @given(scalars())
 def test_scalar_canonical_form(s):

@@ -12,6 +12,7 @@ from weylcurve import (
     ExprError,
     FamilySpec,
     ParamRing,
+    QPoly,
     XPoly,
     build_family,
     build_square_form,
@@ -36,6 +37,36 @@ def test_xpoly_construction_and_queries():
     assert XPoly.zero(ring).degree is None
     assert XPoly.const(ring, 5).constant_value() == 5
     assert p.free_params() == {"A6"}
+
+
+def test_dense_containers_share_their_plumbing():
+    ring, other = ParamRing(("A",)), ParamRing(("B",))
+    p = XPoly(ring, [1, ring.param("A")])
+    one = XPoly.const(ring, 1)
+    cases = (
+        (p, ring.zero(), other.param("B")),
+        (DiffOp(ring, [p, 1]), XPoly.zero(ring), XPoly.x(other)),
+        (QPoly(ring, [p, 1]), XPoly.zero(ring), XPoly.x(other)),
+    )
+    for value, zero, foreign in cases:
+        cls = type(value)
+        for index in (-1, len(value.coeffs), 9):
+            past = value.coefficient(index)
+            assert type(past) is type(zero) and past == zero
+        assert value.lift(ring) is value
+        assert value.lift(ring.extend(("C",))) != value
+        assert cls.zero(ring) == cls(ring, [zero]) and not cls.zero(ring)
+        with pytest.raises(ValueError, match="mixed parameter rings"):
+            cls(ring, [1, foreign])
+    # the trusted constructor and the coercing one agree on value and hash
+    for built, raw in (
+        (QPoly(ring, [p, 1]), QPoly._raw(ring, [p, one, XPoly.zero(ring)])),
+        (DiffOp(ring, [0, p]), DiffOp._raw(ring, [XPoly.zero(ring), p])),
+    ):
+        assert built == raw and hash(built) == hash(raw)
+    # an operand over another ring compares unequal instead of raising
+    assert DiffOp.from_xpoly(p) != XPoly.x(other)
+    assert p != other.param("B") and p != 1
 
 
 def test_xpoly_derivative_examples():
@@ -208,7 +239,9 @@ def leibniz_compose(a: DiffOp, b: DiffOp) -> DiffOp:
 @settings(max_examples=60, deadline=None)
 @given(ops(), ops())
 def test_composition_matches_leibniz_reference(a, b):
-    assert a * b == leibniz_compose(a, b)
+    # the product is built through the trusted constructor, the reference not
+    product, reference = a * b, leibniz_compose(a, b)
+    assert product == reference and hash(product) == hash(reference)
 
 
 def test_family_compositions_match_leibniz_reference():
@@ -240,8 +273,8 @@ _Q = ParamRing(())
 )
 def test_xpoly_product_matches_naive(qa, qb, a, b):
     for p, r in ((XPoly(_Q, qa), XPoly(_Q, qb)), (a, b)):
-        assert p * r == naive_xpoly_mul(p, r)
-        assert p * p == naive_xpoly_mul(p, p)
+        for product, reference in ((p * r, naive_xpoly_mul(p, r)), (p * p, naive_xpoly_mul(p, p))):
+            assert product == reference and hash(product) == hash(reference)
 
 
 @settings(max_examples=40, deadline=None)
