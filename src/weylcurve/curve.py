@@ -17,7 +17,9 @@ The module also decides singularity (a repeated root of F) and splits off
 repeated factors.  Both singularity questions clear F of parameter
 denominators and treat z as one more ring variable, so they run on
 ``mpoly_gcd`` and exact division alone: Yun's squarefree algorithm in
-Q[params][z], with factors made monic over Q(params) at the end.
+Q[params][z], with factors made monic over Q(params) at the end.  Those gcds
+are heuristic ones (GCDHEU) accepted only after exact division, so they stay
+fast with several parameters.
 ``solve_pair`` runs the whole decision for one (V, W, m), from the chain
 to F.
 """

@@ -16,7 +16,7 @@ plus the ``lift`` methods, never by mutation.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, isqrt
 from typing import Iterable, Mapping, Union
 
 Rat = Fraction
@@ -446,14 +446,98 @@ class ParamPoly:
 
 # -- multivariate gcd ------------------------------------------------------------
 #
-# Primitive-PRS Euclid: recurse on the highest parameter index present, with
-# contents computed by the same routine one level down.  Results are only
-# meaningful up to rational units internally; mpoly_gcd normalizes at the end.
+# mpoly_gcd tries GCDHEU first (Char, Geddes and Gonnet 1989; Geddes, Czapor
+# and Labahn 1992, section 7.7) on integer coefficient dicts: evaluate the
+# highest variable present at an integer xi, recurse down to Python ints, and
+# rebuild that variable xi-adically from the digits of the integer gcd.  A
+# candidate is accepted only when it divides both inputs exactly; with
+# xi >= 2 min(|a|, |b|) + 2 that makes it the gcd, not a probable one.  When
+# the check keeps failing, the primitive-PRS Euclid below (_gcd_rec) runs
+# instead: it recurses on the highest parameter index present, with contents
+# computed by the same routine one level down, and is only meaningful up to
+# rational units internally; mpoly_gcd normalizes at the end.
+
+_HEU_TRIES = 6
 
 
-def _max_var(p: ParamPoly) -> int | None:
+def _low_exp(exps: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
+    """Componentwise minimum: the monomial gcd of a single term with anything."""
+    return tuple(map(min, zip(*exps)))
+
+
+def _int_poly(ring: ParamRing, t: dict) -> ParamPoly:
+    return ParamPoly._raw(ring, {e: Fraction(v) for e, v in t.items()})
+
+
+def _heu_eval(a: dict, k: int, xi: int) -> dict:
+    """a with variable k set to xi, exponent slot k left at 0."""
+    out: dict = {}
+    powers = {0: 1}
+    for exp, v in a.items():
+        e = exp[k]
+        if e not in powers:
+            powers[e] = xi**e
+        key = exp[:k] + (0,) + exp[k + 1 :]
+        total = out.get(key, 0) + v * powers[e]
+        if total:
+            out[key] = total
+        else:
+            out.pop(key, None)
+    return out
+
+
+def _heu_rebuild(g: dict, k: int, xi: int) -> dict:
+    """Variable k read back from the xi-adic digits of g, in the symmetric range."""
+    half = xi // 2
+    out = {}
+    for exp, v in g.items():
+        i = 0
+        while v:
+            r = v % xi
+            if r > half:
+                r -= xi
+            if r:
+                out[exp[:k] + (i,) + exp[k + 1 :]] = r
+            v = (v - r) // xi
+            i += 1
+    return out
+
+
+def _gcd_heu(ring: ParamRing, a: dict, b: dict) -> dict | None:
+    """gcd in Z[params] of integer coefficient dicts, or None when GCDHEU gives up.
+
+    The result carries gcd(cont a, cont b): an inner level must keep it, since
+    a factor in the evaluated variable (z -> xi) turns into integer content.
+    """
+    if not a or not b:
+        # an evaluation at xi can vanish, but only on the side of larger norm
+        return a or b
+    ca, cb = _int_gcd(*a.values()), _int_gcd(*b.values())
+    c = _int_gcd(ca, cb)
+    if len(a) == 1 or len(b) == 1:
+        return {_low_exp(a.keys() | b.keys()): c}
+    a = {e: v // ca for e, v in a.items()}
+    b = {e: v // cb for e, v in b.items()}
+    k = _max_var(a.keys() | b.keys())
+    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 2
+    pa, pb = _int_poly(ring, a), _int_poly(ring, b)
+    for _ in range(_HEU_TRIES):
+        g = _gcd_heu(ring, _heu_eval(a, k, xi), _heu_eval(b, k, xi))
+        if g is None:
+            return None
+        g = _heu_rebuild(g, k, xi)
+        cg = _int_gcd(*g.values())
+        g = {e: v // cg for e, v in g.items()}
+        pg = _int_poly(ring, g)
+        if pa.try_div(pg) is not None and pb.try_div(pg) is not None:
+            return {e: c * v for e, v in g.items()}
+        xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+def _max_var(exps: Iterable[tuple[int, ...]]) -> int | None:
     best = None
-    for exp in p.terms:
+    for exp in exps:
         for i in range(len(exp) - 1, -1, -1):
             if exp[i]:
                 if best is None or i > best:
@@ -520,8 +604,8 @@ def _content_primitive(p: ParamPoly, k: int) -> tuple[ParamPoly, ParamPoly]:
 
 
 def _gcd_rec(a: ParamPoly, b: ParamPoly) -> ParamPoly:
-    ka = _max_var(a)
-    kb = _max_var(b)
+    ka = _max_var(a.terms)
+    kb = _max_var(b.terms)
     if ka is None or kb is None:
         return a.ring.poly_one()
     k = max(ka, kb)
@@ -552,16 +636,30 @@ def mpoly_gcd(a: ParamPoly, b: ParamPoly) -> ParamPoly:
     """Greatest common divisor, primitive with positive leading coefficient.
 
     a/gcd and b/gcd are always exact; gcd(0, 0) = 0 and constants behave as
-    units (gcd 1).
+    units (gcd 1).  A single-term operand gives the monomial of the smallest
+    exponents over both operands.  Otherwise GCDHEU runs on the primitive
+    integer parts, and its answer stands only after it divides both of them
+    exactly; when it gives up, the primitive PRS (_gcd_rec) decides.
     """
     _same_rings(a.ring, b.ring)
+    ring = a.ring
     if a.is_zero() and b.is_zero():
-        return a.ring.poly_zero()
+        return ring.poly_zero()
     if a.is_zero():
         return b.primitive()
     if b.is_zero():
         return a.primitive()
-    return _gcd_rec(a, b).primitive()
+    if len(a.terms) == 1 or len(b.terms) == 1:
+        low = _low_exp(a.terms.keys() | b.terms.keys())
+        return ParamPoly._raw(ring, {low: Fraction(1)}) if any(low) else ring.poly_one()
+    g = _gcd_heu(
+        ring,
+        {e: v.numerator for e, v in a.primitive().terms.items()},
+        {e: v.numerator for e, v in b.primitive().terms.items()},
+    )
+    if g is None:
+        return _gcd_rec(a, b).primitive()
+    return _int_poly(ring, g).primitive()
 
 
 def _clear_denominators(ring: ParamRing, scalars) -> tuple[list[ParamPoly], ParamPoly]:

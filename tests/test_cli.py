@@ -396,6 +396,9 @@ def test_console_entry_point():
         ["--family", "thm2", "--g", "2"],
         ["--family", "mironov_x3", "--g", "2"],
         ["--family", "thm3", "--n", "4", "--b-mult", "1", "--m", "3"],
+        ["--family", "thm2", "--g", "3"],
+        ["--family", "mironov_x3", "--g", "3"],
+        ["--family", "thm1", "--g", "4"],
     ],
 )
 def test_repeated_factors_match_sympy(argv, capsys):

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylcurve import ParamPoly, ParamRing, ParamScalar, PoleError, Rat, mpoly_gcd
+from weylcurve import scalars as scalar_module
+from weylcurve.curve import SpectralCurve, curve_structure
 from weylcurve.parsing import parse_scalar
 
 
@@ -340,3 +342,116 @@ def test_scalar_substitute_matches_term_by_term_or_poles(case):
             s.substitute(bindings)
     else:
         assert s.substitute(bindings) == num / den
+
+
+# -- the multivariate gcd: GCDHEU checked by division, PRS as the fallback -------------
+
+# z is reserved in the grammar; curve.py names the lifted z "z_" as well
+_GCD_RING = ParamRing(("A", "B", "z_"))
+_A, _B, _Z = (_GCD_RING.poly_param(name) for name in _GCD_RING.names)
+
+
+@st.composite
+def gcd_factors(draw, max_terms=3):
+    """Rational coefficients of either sign; one term (maybe constant) at times."""
+    terms = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        exp = tuple(draw(st.integers(0, 2)) for _ in range(3))
+        terms[exp] = Fraction(draw(st.integers(-12, 12).filter(bool)), draw(st.integers(1, 4)))
+    return ParamPoly(_GCD_RING, terms)
+
+
+@st.composite
+def gcd_pairs(draw):
+    """Two operands with a shared factor that has integer content and a power of z_."""
+    shared = draw(gcd_factors()) * draw(st.integers(1, 12)) * _Z ** draw(st.integers(0, 3))
+    a = draw(gcd_factors()) * shared
+    b = draw(
+        st.one_of(
+            gcd_factors().map(lambda f: f * shared),
+            gcd_factors(max_terms=1),
+            st.integers(-6, 6).filter(bool).map(_GCD_RING.poly_const),
+        )
+    )
+    return (a, -b) if draw(st.booleans()) else (a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gcd_pairs())
+def test_gcd_matches_prs(pair):
+    a, b = pair
+    g = mpoly_gcd(a, b)
+    assert g == scalar_module._gcd_rec(a, b).primitive()
+    assert a.try_div(g) is not None and b.try_div(g) is not None
+    assert mpoly_gcd(b, a) == g
+
+
+@settings(max_examples=40, deadline=None)
+@given(gcd_pairs())
+def test_gcd_matches_sympy(pair):
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("A B z_")
+
+    def expr(p):
+        return sympy.Poly.from_dict(
+            {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()},
+            gens,
+            domain="QQ",
+        ).as_expr()
+
+    a, b = pair
+    ratio = sympy.cancel(expr(mpoly_gcd(a, b)) / sympy.gcd(expr(a), expr(b)))
+    assert ratio.is_Rational and ratio != 0
+
+
+def test_gcd_keeps_integer_content_of_the_evaluated_variable():
+    # z_ -> xi turns a shared z_ into integer content one level down
+    assert mpoly_gcd(_Z * (_A + 1 + _Z), _Z * (_B - _Z + 2)) == _Z
+    assert mpoly_gcd(_Z**2 * (_A * _Z + 1), 3 * _Z * (_B + _Z)) == _Z
+    assert mpoly_gcd(6 * _Z**2 * (_A - _Z), 4 * _Z**2 * (_A - _Z) * (_B + 1)) == _Z**2 * (_A - _Z)
+
+
+def test_gcd_rejects_a_candidate_that_does_not_divide():
+    # at xi = 6 the integer gcd of 8 and 4 rebuilds to z_ - 2, which does not divide z_ + 2
+    assert mpoly_gcd(_Z + 2, _Z - 2).is_one()
+    assert mpoly_gcd(_A * _Z + 2, _A * _Z - 2).is_one()
+
+
+def test_gcd_with_a_single_term():
+    assert mpoly_gcd(-3 * _A**2 * _Z, _A**3 * _B + 2 * _A * _Z**2) == _A
+    assert mpoly_gcd(Fraction(1, 2) * _B, _A + 1).is_one()
+    assert mpoly_gcd(_GCD_RING.poly_const(-4), _A * _Z).is_one()
+
+
+def test_gcd_falls_back_to_prs_when_the_heuristic_gives_up(monkeypatch):
+    pairs = [
+        ((_A + _B) * (_Z - 3) * _Z, (_A + _B) * (_Z + _A) * 5),
+        (_Z + 2, _Z - 2),
+        ((_A * _Z - 1) ** 2, (_A * _Z - 1) * (_B * _Z + Fraction(1, 3))),
+    ]
+    expected = [mpoly_gcd(a, b) for a, b in pairs]
+    prs = scalar_module._gcd_rec
+    calls = []
+    monkeypatch.setattr(scalar_module, "_HEU_TRIES", 0)
+    monkeypatch.setattr(scalar_module, "_gcd_rec", lambda a, b: calls.append(1) or prs(a, b))
+    assert [mpoly_gcd(a, b) for a, b in pairs] == expected
+    assert calls
+
+
+def _monic_from_roots(ring, roots):
+    coeffs = [ring.one()]
+    for r in roots:
+        shifted = [ring.zero(), *coeffs]
+        coeffs = [s - r * c for s, c in zip(shifted, [*coeffs, ring.zero()])]
+    return SpectralCurve(ring, tuple(coeffs))
+
+
+def test_structure_of_a_two_parameter_curve_with_a_double_root():
+    # two parameters in the roots make the PRS remainders swell on this curve
+    ring = ParamRing(("A", "B"))
+    a, b = ring.param("A"), ring.param("B")
+    curve = _monic_from_roots(ring, [-5, -5, 6, -2, a * b / (b - 2), -1 / a])
+    structure = {mult: coeffs for coeffs, mult in curve_structure(curve)}
+    assert set(structure) == {1, 2}
+    assert structure[2] == (ring.const(5), ring.one())
+    assert len(structure[1]) == 5

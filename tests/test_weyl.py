@@ -213,10 +213,9 @@ def xpolys(draw, max_degree=5, rational=True):
 
 
 @st.composite
-def ops(draw, rational=None):
+def ops(draw):
     order = draw(st.integers(0, 4))
-    if rational is None:
-        rational = draw(st.booleans())
+    rational = draw(st.booleans())
     return DiffOp(_RING, [draw(xpolys(rational=rational)) for _ in range(order + 1)])
 
 
@@ -284,10 +283,8 @@ def test_composition_associative_and_distributive(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
-# Nested brackets of rational operators spend their time in the scalar gcd, not
-# in composition, which the tests above check with denominators.
 @settings(max_examples=40, deadline=None)
-@given(ops(rational=False), ops(rational=False), ops(rational=False))
+@given(ops(), ops(), ops())
 def test_commutator_jacobi(a, b, c):
     total = (
         a.commutator(b.commutator(c))
