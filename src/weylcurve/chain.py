@@ -20,7 +20,8 @@ v_{k-1} = T(v_{k-1}).  The chain closes iff a_{m+1} can be made constant in
 x, and its x^p coefficient [x^p] u_m + sum_{j<=m} C_j [x^p] v_{m+1-j} is
 linear in C_1 ... C_m.  So this module runs m rungs over the ring of V and W
 alone, reads the linear system off the sequence, solves it exactly over the
-parameter field, and assembles Q as a linear combination of the sequence.
+parameter field in one Gauss-Jordan pass over affine forms in the constants,
+and assembles Q as a linear combination of the sequence.
 """
 
 from __future__ import annotations
@@ -142,13 +143,7 @@ class QChain:
         return self.entries[-1]
 
 
-def build_qchain(
-    V: XPoly,
-    W: XPoly,
-    m: int,
-    constant_prefix: str = "C",
-    prefix: QChain | None = None,
-) -> QChain:
+def build_qchain(V: XPoly, W: XPoly, m: int, prefix: QChain | None = None) -> QChain:
     """Run the sequence u_0 = W/2, u_{k+1} = T(u_k) up to u_m.
 
     The chain's ring extends the parameter ring of V and W with fresh
@@ -160,7 +155,7 @@ def build_qchain(
         raise ChainError("V and W must share a parameter ring")
     if m < 1:
         raise ChainError(f"chain length m must be >= 1, got {m}")
-    constants = tuple(f"{constant_prefix}{i}" for i in range(1, m + 2))
+    constants = tuple(f"C{i}" for i in range(1, m + 2))
     for name in constants:
         if name in V.ring:
             raise ChainError(f"constant name {name!r} collides with a ring parameter")
@@ -252,60 +247,63 @@ class SolveOutcome:
 
 
 def solve_constants(system: ConstraintSystem) -> SolveOutcome:
-    """Gaussian elimination over the parameter field, in equation order.
+    """Gauss-Jordan elimination over the parameter field, in one pass.
 
-    Each equation is solved for the highest-index constant it still
-    contains, mirroring the way the chain introduces a fresh constant per
-    rung; earlier constants stay free unless a later equation pins them.
+    A pinned constant is held as an affine form in the free ones: a dict from
+    a constant's name, or None for the constant part, to a scalar.  Each
+    equation, with the pinned constants replaced by their forms, is solved for
+    the highest-index constant left in it, mirroring the way the chain
+    introduces a fresh constant per rung, and the new form replaces that
+    constant in every earlier form.  Form coefficients come only from equation
+    coefficients, so no denominator mentions a constant.
     """
     ring = system.ring
+    zero = ring.zero()
     order = {name: i for i, name in enumerate(system.unknowns)}
-    assignment: dict[str, ParamScalar] = {}
+    forms: dict[str, dict[str | None, ParamScalar]] = {}
     side: list[ParamPoly] = []
 
-    def substitute_known(eq: LinearEquation) -> tuple[dict[str, ParamScalar], ParamScalar]:
-        total = eq.constant
-        live: dict[str, ParamScalar] = {}
-        for name, c in eq.coeffs:
-            if name in assignment:
-                total = total + c * assignment[name]
-            elif not c.is_zero():
-                live[name] = c
-        return live, total
+    def add(form: dict, key: str | None, value: ParamScalar) -> None:
+        total = form.get(key, zero) + value
+        if total.is_zero():
+            form.pop(key, None)
+        else:
+            form[key] = total
 
     for eq in system.equations:
-        live, rest = substitute_known(eq)
-        live = {name: c for name, c in live.items() if not c.is_zero()}
+        row: dict[str | None, ParamScalar] = {}
+        add(row, None, eq.constant)
+        for name, c in eq.coeffs:
+            if name in forms:
+                for key, value in forms[name].items():
+                    add(row, key, c * value)
+            else:
+                add(row, name, c)
+        live = [name for name in row if name is not None]
         if not live:
-            if rest.is_zero():
+            if None not in row:
                 continue  # redundant condition
             return SolveOutcome(
                 status="infeasible",
-                witness=LinearEquation(power=eq.power, coeffs=(), constant=rest),
+                witness=LinearEquation(power=eq.power, coeffs=(), constant=row[None]),
             )
         pivot = max(live, key=lambda name: order[name])
-        coeff = live.pop(pivot)
+        coeff = row.pop(pivot)
         if not coeff.num.is_constant():
             side.append(coeff.num.primitive())
-        value = -rest / coeff
-        for name, c in live.items():
-            value = value - (c / coeff) * ring.param(name)
-        assignment[pivot] = value
+        solved = {key: -value / coeff for key, value in row.items()}
+        for form in forms.values():
+            c = form.pop(pivot, None)
+            if c is not None:
+                for key, value in solved.items():
+                    add(form, key, c * value)
+        forms[pivot] = solved
 
-    # Back-substitute so pinned values only mention genuinely free constants.
-    changed = True
-    while changed:
-        changed = False
-        for name, value in assignment.items():
-            updates = {
-                other: assignment[other]
-                for other in value.free_params()
-                if other in assignment and other != name
-            }
-            if updates:
-                assignment[name] = value.substitute(updates)
-                changed = True
-
+    assignment = {
+        name: sum((c * ring.param(key) for key, c in form.items() if key is not None),
+                  form.get(None, zero))
+        for name, form in forms.items()
+    }
     free = tuple(name for name in system.unknowns if name not in assignment)
     status = "unique" if not free else "underdetermined"
     # Reduce the side conditions: a pivot coefficient that is a product of

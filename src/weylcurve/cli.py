@@ -32,13 +32,16 @@ from .curve import (
     solve_pair,
 )
 from .families import (
+    _FAMILY_SYMBOLS,
     KINDS,
+    PAIR_RANKS,
+    STEP_CONSTANT,
     DegreeResult,
     FamilySpec,
     FamilySpecError,
     attempt_degrees,
     build_family,
-    dixmier_pair,
+    family_pair,
     run_family_verdict,
     thm1_monomial_step,
     thm2_monomial_step,
@@ -51,7 +54,7 @@ class CliInputError(ValueError):
     """Bad command-line input; reported on stderr with exit code 2."""
 
 
-_FAMILY_SYMBOL_KEYS = {"A6", "A4", "A3", "A2", "A1", "A0", "A", "alpha"}
+_FAMILY_SYMBOL_KEYS = {name for names in _FAMILY_SYMBOLS.values() for name in names}
 
 
 @dataclass
@@ -465,10 +468,9 @@ def _run_verdict(job: JobSpec) -> tuple[int, dict]:
 
 def _run_commutator(job: JobSpec) -> tuple[int, dict]:
     if job.family is not None:
-        if job.family.kind not in ("dixmier_rank2", "dixmier_rank3"):
+        if job.family.kind not in PAIR_RANKS:
             raise CliInputError("commutator --family expects dixmier_rank2 or dixmier_rank3")
-        rank = 2 if job.family.kind == "dixmier_rank2" else 3
-        L, M = dixmier_pair(rank, job.family.parameters.get("alpha"))
+        L, M = family_pair(job.family)
         echo = _family_echo(job.family)
     else:
         if job.l_text is None or job.m_text is None:
@@ -518,7 +520,7 @@ def _run_singular(job: JobSpec) -> tuple[int, dict]:
 def _run_scan(job: JobSpec) -> tuple[int, dict]:
     if job.family is None:
         raise CliInputError("scan needs --family")
-    if job.family.kind in ("dixmier_rank2", "dixmier_rank3"):
+    if job.family.kind in PAIR_RANKS:
         raise CliInputError("scan applies to the potential families, not the fixed pairs")
     if job.m_range is None:
         raise CliInputError("scan needs --m-range")
@@ -589,7 +591,7 @@ def _run_oracle_check(job: JobSpec) -> tuple[int, dict]:
         # B is irrelevant to a single rung input; fix the admissible m=1 form.
         spec = FamilySpec(kind, {"n": job.n, "m": 1})
     ring, V, W = build_family(spec)
-    ring2 = ring.extend(("C",))
+    ring2 = ring.extend((STEP_CONSTANT,))
     V = V.lift(ring2)
     W = W.lift(ring2)
     stride = _ORACLE_STRIDE[kind]
@@ -597,7 +599,7 @@ def _run_oracle_check(job: JobSpec) -> tuple[int, dict]:
     all_agree = True
     for k in range(lo, hi + 1):
         power = stride * k
-        got = recursion_step(XPoly.monomial(ring2, power), V, W, "C")
+        got = recursion_step(XPoly.monomial(ring2, power), V, W, STEP_CONSTANT)
         if kind == "thm1":
             want = thm1_monomial_step(ring2, k, job.g, ring2.param("A6"), ring2.param("A2"))
         elif kind == "thm2":

@@ -44,6 +44,9 @@ _FAMILY_SYMBOLS = {
     "dixmier_rank3": ("alpha",),
 }
 
+# The classical commuting pairs, by family kind, with their rank.
+PAIR_RANKS = {"dixmier_rank2": 2, "dixmier_rank3": 3}
+
 _INT_KEYS = {"g", "n", "k", "m", "b_mult"}
 _EXTRA_KEYS = {"b_over_a"} | _INT_KEYS
 
@@ -188,6 +191,9 @@ def build_family(spec: FamilySpec) -> tuple[ParamRing, XPoly, XPoly]:
 
 # -- closed-form recursion images (oracles) ------------------------------------
 
+# The ring parameter that stands for the integration constant of one rung.
+STEP_CONSTANT = "C"
+
 
 def _as_scalar(ring: ParamRing, value) -> ParamScalar:
     if isinstance(value, ParamScalar):
@@ -195,9 +201,7 @@ def _as_scalar(ring: ParamRing, value) -> ParamScalar:
     return ring.const(value)
 
 
-def thm1_monomial_step(
-    ring: ParamRing, k: int, g: int, a6, a2, constant: str = "C"
-) -> XPoly:
+def thm1_monomial_step(ring: ParamRing, k: int, g: int, a6, a2) -> XPoly:
     """Image of x^(4k) under one chain rung for the x^6 family.
 
     x^(4k) -> C - k(4k-1)(4k-2)(4k-3) x^(4k-4) - 16 A2 k^2 x^(4k)
@@ -208,7 +212,7 @@ def thm1_monomial_step(
         raise ValueError("k must be >= 0")
     a6 = _as_scalar(ring, a6)
     a2 = _as_scalar(ring, a2)
-    out = XPoly.const(ring, ring.param(constant))
+    out = XPoly.const(ring, ring.param(STEP_CONSTANT))
     terms = [
         (4 * k - 4, ring.const(-k * (4 * k - 1) * (4 * k - 2) * (4 * k - 3))),
         (4 * k, -16 * k * k * a2),
@@ -220,9 +224,7 @@ def thm1_monomial_step(
     return out
 
 
-def thm2_monomial_step(
-    ring: ParamRing, k: int, g: int, a4, a2, a0, constant: str = "C"
-) -> XPoly:
+def thm2_monomial_step(ring: ParamRing, k: int, g: int, a4, a2, a0) -> XPoly:
     """Image of x^(2k) under one chain rung for the x^4 family.
 
     x^(2k) -> C - k(2k-1)(k-1)(2k-3) x^(2k-4) - 2 A0 k(2k-1) x^(2k-2)
@@ -234,7 +236,7 @@ def thm2_monomial_step(
     a4 = _as_scalar(ring, a4)
     a2 = _as_scalar(ring, a2)
     a0 = _as_scalar(ring, a0)
-    out = XPoly.const(ring, ring.param(constant))
+    out = XPoly.const(ring, ring.param(STEP_CONSTANT))
     terms = [
         (2 * k - 4, ring.const(-k * (2 * k - 1) * (k - 1) * (2 * k - 3))),
         (2 * k - 2, -2 * k * (2 * k - 1) * a0),
@@ -247,7 +249,7 @@ def thm2_monomial_step(
     return out
 
 
-def thm3_monomial_step(ring: ParamRing, k: int, n: int, a, b, constant: str = "C") -> XPoly:
+def thm3_monomial_step(ring: ParamRing, k: int, n: int, a, b) -> XPoly:
     """Image of x^k under one chain rung for V = A x^n, W = B x^(n-2).
 
     x^k -> C - 1/4 k(k-1)(k-2)(k-3) x^(k-4)
@@ -260,7 +262,7 @@ def thm3_monomial_step(ring: ParamRing, k: int, n: int, a, b, constant: str = "C
         raise ValueError("n must be > 3")
     a = _as_scalar(ring, a)
     b = _as_scalar(ring, b)
-    out = XPoly.const(ring, ring.param(constant))
+    out = XPoly.const(ring, ring.param(STEP_CONSTANT))
     low = Fraction(-k * (k - 1) * (k - 2) * (k - 3), 4)
     high = Fraction(n + 2 * k - 2, 2 * (n + k - 2)) * (b - k * (n + k - 2) * a)
     for power, coeff in ((k - 4, ring.const(low)), (n + k - 2, high)):
@@ -317,6 +319,13 @@ def dixmier_pair(rank: int, alpha: RatLike | None = None) -> tuple[DiffOp, DiffO
         )
         return L, M
     raise FamilySpecError(f"no classical pair of rank {rank!r}")
+
+
+def family_pair(spec: FamilySpec) -> tuple[DiffOp, DiffOp]:
+    """The classical pair (L, M) of a spec whose kind is in PAIR_RANKS,
+    after the spec is validated."""
+    _validate(spec)
+    return dixmier_pair(PAIR_RANKS[spec.kind], spec.parameters.get("alpha"))
 
 
 # -- family-level verdicts ----------------------------------------------------------
@@ -413,10 +422,9 @@ def run_family_verdict(
     identities instead.
     """
     _validate(spec)
-    if spec.kind in ("dixmier_rank2", "dixmier_rank3"):
-        rank = 2 if spec.kind == "dixmier_rank2" else 3
+    if spec.kind in PAIR_RANKS:
+        L, M = family_pair(spec)
         alpha = spec.parameters.get("alpha")
-        L, M = dixmier_pair(rank, alpha)
         commutes = L.commutator(M).is_zero()
         ring = L.ring
         a = ring.const(alpha) if alpha is not None else ring.param("alpha")

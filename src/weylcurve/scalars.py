@@ -371,31 +371,18 @@ class ParamPoly:
     def substitute(self, bindings: Mapping[str, "RatLike | ParamScalar"]) -> "ParamScalar":
         """Bind some parameters to values; unbound parameters survive.
 
-        Terms are grouped by their exponents in the bound parameters, so each
-        group costs one scalar product: (its unbound part) * prod value_i^e_i.
+        Term by term: (the term with its bound parameters dropped) times
+        prod value_i^e_i over the bound parameters it mentions.
         """
         ring = self.ring
-        for name in bindings:
-            ring.index(name)  # reject unknown names early
-        values: dict[int, ParamScalar] = {}
-        for name, value in bindings.items():
-            values[ring.index(name)] = _coerce_scalar(ring, value)
-        bound = sorted(values)
-        groups: dict[tuple[int, ...], dict] = {}
-        for exp, coeff in self.terms.items():
-            rest = list(exp)
-            for i in bound:
-                rest[i] = 0
-            groups.setdefault(tuple(exp[i] for i in bound), {})[tuple(rest)] = coeff
-        powers: dict[tuple[int, int], ParamScalar] = {}
+        values = {ring.index(name): _coerce_scalar(ring, v) for name, v in bindings.items()}
         out = ring.zero()
-        for key, terms in groups.items():
-            term = ParamPoly._raw(ring, terms).as_scalar()
-            for i, e in zip(bound, key):
-                if e:
-                    if (i, e) not in powers:
-                        powers[i, e] = values[i] ** e
-                    term = term * powers[i, e]
+        for exp, coeff in self.terms.items():
+            rest = tuple(0 if i in values else e for i, e in enumerate(exp))
+            term = ParamPoly._raw(ring, {rest: coeff}).as_scalar()
+            for i, value in values.items():
+                if exp[i]:
+                    term = term * value ** exp[i]
             out = out + term
         return out
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from weylcurve import (
     ChainError,
+    ConstraintSystem,
     FamilySpec,
     LinearEquation,
     ParamRing,
@@ -22,6 +23,7 @@ from weylcurve import (
     solve_constants,
 )
 from weylcurve.chain import QPoly
+from weylcurve.parsing import parse_scalar
 
 from support import family_chain, solved_family
 
@@ -169,6 +171,108 @@ def test_solve_infeasible_witness():
     assert "= 0" in outcome.witness.render()
     with pytest.raises(ChainError):
         assemble_q(chain, outcome)
+
+
+# -- the solve on hand-made systems in C1 .. C3 over Q(A) ------------------------------
+
+SOLVE_RING = ParamRing(("A", "C1", "C2", "C3"))
+SOLVE_UNKNOWNS = ("C1", "C2", "C3")
+
+
+def linear_system(rows) -> ConstraintSystem:
+    """The system of rows [c_C1, c_C2, c_C3, constant] of expression texts,
+    the first row at the highest x-power; zero coefficients are left out, as
+    extract_constraints leaves them out."""
+    equations = []
+    for power, row in zip(range(len(rows), 0, -1), rows):
+        values = [parse_scalar(SOLVE_RING, text) for text in row]
+        coeffs = tuple((n, c) for n, c in zip(SOLVE_UNKNOWNS, values) if not c.is_zero())
+        equations.append(LinearEquation(power, coeffs, values[3]))
+    return ConstraintSystem(SOLVE_RING, SOLVE_UNKNOWNS, tuple(equations))
+
+
+def assert_solves(system, outcome):
+    """Each equation vanishes identically once the pinned constants are put
+    in, the free ones left symbolic, and no value mentions a pinned one."""
+    pinned = outcome.assignment.keys()
+    assert set(pinned) | set(outcome.free) == set(system.unknowns)
+    assert not set(pinned) & set(outcome.free)
+    for value in outcome.assignment.values():
+        assert not value.free_params() & pinned
+    for eq in system.equations:
+        total = eq.constant
+        for name, c in eq.coeffs:
+            total = total + c * outcome.assignment.get(name, SOLVE_RING.param(name))
+        assert total.is_zero(), eq.render()
+
+
+def solved(rows):
+    outcome = solve_constants(linear_system(rows))
+    return outcome.status, {k: str(v) for k, v in outcome.assignment.items()}, outcome.free
+
+
+def test_solve_pivots_on_the_combined_coefficient():
+    # C1 + C2 = 0, 5 C1 + C2 + 1 = 0: with C2 = -C1 in, the second row reads 4 C1 + 1
+    assert solved([["1", "1", "0", "0"], ["5", "1", "0", "1"]]) == (
+        "underdetermined", {"C2": "1/4", "C1": "-1/4"}, ("C3",))
+    # C1 + C2 = 0, C2 + 3 = 0: the second row pins C1 through C2 = -C1
+    assert solved([["1", "1", "0", "0"], ["0", "1", "0", "3"]]) == (
+        "underdetermined", {"C2": "-3", "C1": "3"}, ("C3",))
+
+
+def test_solve_constant_part_that_cancels():
+    # C2 - C1 - 1 = 0, C1 + 1 = 0: C2 = C1 + 1 loses its constant part once C1 = -1
+    assert solved([["-1", "1", "0", "-1"], ["1", "0", "0", "1"]]) == (
+        "underdetermined", {"C2": "0", "C1": "-1"}, ("C3",))
+
+
+def test_solve_skips_a_redundant_row():
+    system = linear_system([["1", "1", "0", "0"], ["2", "2", "0", "0"], ["0", "0", "A", "1"]])
+    outcome = solve_constants(system)
+    assert outcome.status == "underdetermined"
+    assert {k: str(v) for k, v in outcome.assignment.items()} == {"C2": "-C1", "C3": "(-1)/(A)"}
+    assert outcome.free == ("C1",)
+    assert [str(p) for p in outcome.side_conditions] == ["A"]
+    assert_solves(system, outcome)
+
+
+def test_solve_witness_after_substitution():
+    # C1 + C2 = 0 and 2 C1 + 2 C2 + 1 = 0 leave 1 = 0 once C2 = -C1 is put in
+    outcome = solve_constants(linear_system([["1", "1", "0", "0"], ["2", "2", "0", "1"]]))
+    assert outcome.status == "infeasible"
+    assert outcome.witness.render() == "0 + (1) = 0"
+
+
+# zero often, so rows go rank-deficient and some systems turn infeasible
+_SOLVE_COEFFS = ("0", "0", "0", "1", "-1", "2", "A", "A + 1", "1/(A + 1)")
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.sampled_from(_SOLVE_COEFFS), min_size=4, max_size=4), min_size=1, max_size=4
+    )
+)
+def test_solve_random_systems(rows):
+    system = linear_system(rows)
+    outcome = solve_constants(system)
+    if outcome.feasible:
+        assert_solves(system, outcome)
+    else:
+        assert outcome.witness.coeffs == () and not outcome.witness.constant.is_zero()
+    sympy = pytest.importorskip("sympy")
+    cs = sympy.symbols(SOLVE_UNKNOWNS)
+    eqs = [
+        sum(sympy.sympify(c, locals={"A": sympy.Symbol("A")}) * x for c, x in zip(row, cs))
+        + sympy.sympify(row[3], locals={"A": sympy.Symbol("A")})
+        for row in rows
+    ]
+    solutions = sympy.linsolve(eqs, *cs)
+    assert (solutions == sympy.EmptySet) == (outcome.status == "infeasible")
+    if outcome.feasible:
+        (solution,) = solutions
+        free = set().union(*(e.free_symbols for e in solution)) & set(cs)
+        assert len(free) == len(outcome.free)
 
 
 def test_assemble_q_free_values():

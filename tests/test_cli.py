@@ -350,6 +350,14 @@ def test_input_errors_exit_2(capsys, tmp_path):
         ["commutator"], capsys, stdin=json.dumps({"params": ["x"], "L": "D^2", "M": "D^3"})
     )
     assert (code, out, err) == (2, "", "error: parameter name 'x' is reserved\n")
+    # a classical pair rejects a binding of another family's symbol, as verdict does
+    for command in ("commutator", "verdict"):
+        code, out, err = run_cli([command, "--family", "dixmier_rank2", "--bind", "A6=1"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: family 'dixmier_rank2' does not accept parameter 'A6'\n"
+    code, out, err = run_cli(["commutator", "--family", "thm1", "--g", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: commutator --family expects dixmier_rank2 or dixmier_rank3\n"
     # a scan whose first degree is 0 fails before any chain is shared
     code, out, err = run_cli(
         ["scan", "--family", "thm1", "--g-range", "1:1", "--m-range", "0:2"], capsys

@@ -251,6 +251,16 @@ def test_family_compositions_match_leibniz_reference():
         assert a * b == leibniz_compose(a, b)
 
 
+@settings(max_examples=30, deadline=None)
+@given(ops(), xpolys(), st.sampled_from((_RING.zero(), _A2, _A2 * _B2 - 1, 1 / (_A2 + 1))))
+def test_left_multiplication_scales_or_composes(op, p, s):
+    # a number or scalar on the left scales; an x-polynomial composes as an operator
+    assert 2 * op == op.scale(2)
+    assert Fraction(-3, 4) * op == op.scale(Fraction(-3, 4))
+    assert s * op == op.scale(s)
+    assert p * op == DiffOp.from_xpoly(p) * op
+
+
 def naive_xpoly_mul(a: XPoly, b: XPoly) -> XPoly:
     """Coefficient-by-coefficient product with scalar arithmetic."""
     out = [a.ring.zero()] * (len(a.coeffs) + len(b.coeffs) - 1) if a and b else []
