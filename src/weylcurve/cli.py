@@ -539,28 +539,21 @@ def _run_scan(job: JobSpec) -> tuple[int, dict]:
         parameters = dict(job.family.parameters)
         if g is not None:
             parameters["g"] = g
-        ring, V, W = build_family(FamilySpec(job.family.kind, parameters))
-        chain = None
-        for m in range(job.m_range[0], job.m_range[1] + 1):
-            solution = solve_pair(V, W, m, prefix=chain)
-            chain = solution.chain
-            curve = solution.curve
-            row: dict = {
+        _, V, W = build_family(FamilySpec(job.family.kind, parameters))
+        m_values = range(job.m_range[0], job.m_range[1] + 1)
+        for result in attempt_degrees(V, W, [(m, None) for m in m_values]):
+            curve = result.curve
+            factors = [] if curve is None else _repeated_factors(curve)
+            rows.append({
                 "g": g,
-                "m": m,
-                "status": solution.outcome.status,
-                "free": list(solution.outcome.free),
-                "curve": None,
-                "repeated_factors": [],
-                "singular": None,
-            }
-            if curve is not None:
-                row["curve"] = str(curve)
-                row["repeated_factors"] = _repeated_factors(curve)
-                if not curve.free_params():
-                    # over Q, F is singular iff its squarefree split repeats a factor
-                    row["singular"] = bool(row["repeated_factors"])
-            rows.append(row)
+                "m": result.degree,
+                "status": result.status,
+                "free": list(result.free),
+                "curve": None if curve is None else str(curve),
+                "repeated_factors": factors,
+                # over Q, F is singular iff its squarefree split repeats a factor
+                "singular": None if curve is None or curve.free_params() else bool(factors),
+            })
     report = {
         "command": "scan",
         "inputs": {
@@ -662,6 +655,9 @@ def render_report(report: dict) -> bytes:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):
+        # exact coefficients can run past the default 4300-digit str limit
+        sys.set_int_max_str_digits(0)
     try:
         job = job_from_args(args)
         code, report = run_job(job)

@@ -13,6 +13,8 @@ genus <= m hyperelliptic curve.
 The x-derivative of the right side is 2 Q R with R the closure residual
 ``residual_eq2(Q, V, W)``, so F is evaluated exactly by checking R = 0 and
 then reading the formula off at x = 0; the expansion in x is never built.
+F is a ``SpectralCurve``: an ``XPoly`` whose variable is z, so the formula
+at x = 0 is plain XPoly arithmetic in z.
 The module also decides singularity (a repeated root of F) and splits off
 repeated factors.  Both singularity questions clear F of parameter
 denominators and treat z as one more ring variable, so they run on
@@ -28,9 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from math import factorial
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .scalars import (
     ParamPoly,
@@ -40,7 +41,7 @@ from .scalars import (
     _clear_denominators,
     mpoly_gcd,
 )
-from .weyl import XPoly, dense_add, dense_mul
+from .weyl import XPoly
 from .chain import (
     ConstraintSystem,
     QChain,
@@ -67,42 +68,24 @@ class UnboundParameterError(ValueError):
     """A numeric decision was requested while parameters remain symbolic."""
 
 
-@dataclass(frozen=True)
-class SpectralCurve:
-    """Monic odd-degree polynomial F with w^2 = F(z); coeffs ascending in z."""
+class SpectralCurve(XPoly):
+    """Monic odd-degree F with w^2 = F(z): an XPoly whose variable is z.
 
-    ring: ParamRing
-    coeffs: tuple[ParamScalar, ...]
+    Inherited arithmetic returns a plain XPoly, as its result need not be
+    monic; substituting parameters returns a checked SpectralCurve.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+    _raw = XPoly._raw
+
+    def __init__(self, ring: ParamRing, coeffs: Iterable):
+        super().__init__(ring, coeffs)
         if not self.coeffs or not self.coeffs[-1].is_one():
             raise ValueError("spectral curve polynomial must be monic")
 
     @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
     def genus_bound(self) -> int:
         return (self.degree - 1) // 2
-
-    def coefficient(self, power: int) -> ParamScalar:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
-        return self.ring.zero()
-
-    def substitute_params(
-        self, bindings: Mapping[str, "RatLike | ParamScalar"]
-    ) -> "SpectralCurve":
-        return SpectralCurve(
-            self.ring, tuple(c.substitute(bindings) for c in self.coeffs)
-        )
-
-    def free_params(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for c in self.coeffs:
-            out |= c.free_params()
-        return out
 
     def __str__(self) -> str:
         return render_zpoly(self.coeffs)
@@ -144,7 +127,8 @@ def spectral_curve(Q: QPoly, V: XPoly, W: XPoly) -> SpectralCurve:
       E(0) = 4 (z - W_0) Q_0^2 - 4 V_0 Q_1^2 + Q_2^2 - 2 Q_1 Q_3
              + 2 Q_0 (2 V_1 Q_1 + 4 V_0 Q_2 + Q_4),
 
-    six products of z-polynomials instead of the full expansion in x.
+    six XPoly products in z instead of the full expansion in x; the squares
+    Q_0^2, Q_1^2 and Q_2^2 take the product kernel's square path.
     When R != 0, E = E(0) + Integral_0^x 2 Q R dx, and XDependenceError
     reports that x-polynomial for every z-power where it is not constant;
     this happens exactly when Q does not certify closure.
@@ -153,36 +137,24 @@ def spectral_curve(Q: QPoly, V: XPoly, W: XPoly) -> SpectralCurve:
     V = V.lift(ring)
     W = W.lift(ring)
     R = residual_eq2(Q, V, W)
-    zero = ring.zero()
     q0, q1, q2, q3, q4 = (
-        [c.coefficient(k) * factorial(k) for c in Q.coeffs] for k in range(5)
+        XPoly(ring, [c.coefficient(k) * factorial(k) for c in Q.coeffs]) for k in range(5)
     )
     V0, V1, W0 = V.coefficient(0), V.coefficient(1), W.coefficient(0)
-    inner = dense_add(dense_add(_scaled(q1, 2 * V1), _scaled(q2, 4 * V0)), q4)
-    four_f = reduce(
-        dense_add,
-        (
-            dense_mul([-4 * W0, ring.const(4)], dense_mul(q0, q0, zero), zero),
-            _scaled(dense_mul(q1, q1, zero), -4 * V0),
-            dense_mul(q2, q2, zero),
-            _scaled(dense_mul(q1, q3, zero), -2),
-            _scaled(dense_mul(q0, inner, zero), 2),
-        ),
+    four_f = (
+        (q0 * q0 * XPoly(ring, [-W0, 1])).scale(4)
+        - (q1 * q1).scale(4 * V0)
+        + q2 * q2
+        - (q1 * q3).scale(2)
+        + (q0 * (q1.scale(2 * V1) + q2.scale(4 * V0) + q4)).scale(2)
     )
     if not R.is_zero():
-        offenders = {}
-        for power, slope in enumerate((Q * R).coeffs):
-            if slope:
-                start = four_f[power] if power < len(four_f) else zero
-                offenders[power] = (slope * 2).antiderivative() + start
-        raise XDependenceError(offenders)
-    while four_f and not four_f[-1]:
-        four_f.pop()
-    return SpectralCurve(ring, tuple(c / 4 for c in four_f))
-
-
-def _scaled(seq: Sequence[ParamScalar], factor) -> list[ParamScalar]:
-    return [c * factor for c in seq]
+        raise XDependenceError({
+            power: (slope * 2).antiderivative() + four_f.coefficient(power)
+            for power, slope in enumerate((Q * R).coeffs)
+            if slope
+        })
+    return SpectralCurve(ring, four_f.scale(Fraction(1, 4)).coeffs)
 
 
 @dataclass(frozen=True)

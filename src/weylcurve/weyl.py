@@ -16,6 +16,8 @@ term is displayed (``_term``), and adds its own products and calculus:
   commutators and application to an XPoly.
 - ``chain.QPoly`` is the certificate Q(x, z), a polynomial in the spectral
   variable z with XPoly entries; it adds z-products and x-derivatives.
+- ``curve.SpectralCurve`` is the monic F(z) of a spectral curve w^2 = F(z),
+  an XPoly whose variable is z; it adds the monic check and the genus bound.
 
 Composition multiplies term by term with the normal-ordering rule of the
 Weyl algebra
@@ -332,7 +334,7 @@ class XPoly(_Dense):
         )
 
     def substitute_params(self, bindings: Mapping[str, "RatLike | ParamScalar"]) -> "XPoly":
-        return XPoly._raw(self.ring, [c.substitute(bindings) for c in self.coeffs])
+        return type(self)(self.ring, [c.substitute(bindings) for c in self.coeffs])
 
     @staticmethod
     def _term(c: ParamScalar, power: int) -> tuple[bool, str]:

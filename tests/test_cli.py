@@ -381,6 +381,24 @@ def test_input_errors_exit_2(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["curve", "--V", "x^2", "--W", "123456789^300*x", "--m", "1"], '"W": "'),
+        (["commutator", "--L", "D^1700", "--M", "x^1700"], '"commutator": "'),
+    ],
+)
+def test_integers_past_the_str_digit_limit(argv, needle, capsys):
+    # exit 1 is the refuted verdict: the report must still print in full
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert "Traceback" not in err
+    report = json.loads(out)
+    assert report["command"] == argv[0]
+    assert max(len(word) for word in out.split()) > 4300
+    assert needle in out
+
+
 def test_missing_required_range_errors(capsys):
     with pytest.raises(SystemExit):
         main(["scan", "--family", "thm1", "--g-range", "1:2"])  # --m-range required

@@ -57,6 +57,24 @@ def test_monic_constraint_enforced():
         SpectralCurve(ring, (ring.one(), ring.const(2)))
 
 
+def test_spectral_curve_is_a_checked_xpoly():
+    _, _, _, curve = solved_family("thm1", {"g": 1}, 1)
+    _, _, _, again = solved_family("thm1", {"g": 1}, 1)
+    ring = curve.ring
+    assert isinstance(curve, XPoly)
+    assert curve.degree == 3 and curve.genus_bound == 1
+    assert curve.coefficient(4) == ring.zero()
+    assert curve.free_params() == frozenset({"A2", "A6"})
+    assert curve == again and hash(curve) == hash(again)
+    # inherited arithmetic need not stay monic, so it yields a plain XPoly
+    for value in (curve - curve, -curve, curve * curve, curve.scale(2)):
+        assert type(value) is XPoly
+    assert (curve - curve).is_zero()
+    bound = curve.substitute_params({"A2": 1, "A6": 2})
+    assert type(bound) is SpectralCurve and bound.coeffs[-1].is_one()
+    assert str(bound) == "z^3 + (32)*z^2 + (640)*z + 6144"
+
+
 def test_x_dependence_is_an_error_with_offenders():
     ring = ParamRing(())
     V = XPoly.zero(ring)
