@@ -348,7 +348,7 @@ def assemble_q(
         if name not in outcome.free:
             raise ChainError(f"{name!r} is not a free constant of this chain")
     ring = chain.V.ring
-    at = [Fraction(free_values.get(name, 0)) for name in chain.constants]
+    at = [free_values.get(name, 0) for name in chain.constants]
     values = [
         _at_constants(outcome.assignment[name], ring, at) if name in outcome.assignment else at[j]
         for j, name in enumerate(chain.constants[:-1])
@@ -366,7 +366,7 @@ def assemble_q(
     return QPoly._raw(ring, [entry(i) for i in range(chain.m, 0, -1)] + [XPoly.const(ring, 1)])
 
 
-def _at_constants(value: ParamScalar, ring: ParamRing, at: list[Fraction]) -> ParamScalar:
+def _at_constants(value: ParamScalar, ring: ParamRing, at: list[RatLike]) -> ParamScalar:
     """A solved value, over `ring` extended with the constants, taken at the
     rational constants `at`; the solve keeps the constants out of denominators."""
     n = len(ring)

@@ -255,7 +255,7 @@ class SingularityReport:
     """Verdict plus, when singular, the monic gcd(F, F') in ascending coeffs."""
 
     singular: bool
-    witness: tuple[Fraction, ...] | None
+    witness: tuple[int | Fraction, ...] | None
 
 
 def curve_structure(curve: SpectralCurve) -> tuple[tuple[tuple[ParamScalar, ...], int], ...]:

@@ -1,8 +1,12 @@
 """Exact scalar arithmetic over a fixed universe of named parameters.
 
-Coefficients live in the field Q(p1, ..., pk): arbitrary-precision rationals
-(``fractions.Fraction``), multivariate polynomials in the declared parameters
-(``ParamPoly``), and quotients of those (``ParamScalar``).  Everything is
+Coefficients live in the field Q(p1, ..., pk): arbitrary-precision rationals,
+multivariate polynomials in the declared parameters (``ParamPoly``), and
+quotients of those (``ParamScalar``).  A rational coefficient is a Python
+``int`` when it is integral and a ``fractions.Fraction`` otherwise, so the
+integer arithmetic that dominates the engine never goes through ``Fraction``;
+a ``Fraction`` is brought back to an ``int`` where it is made (a quotient, a
+scale by a rational, a sum or product of non-integral terms).  Everything is
 immutable and kept canonical: polynomials never store zero coefficients,
 quotients are reduced by the multivariate gcd, and denominators are primitive
 with a positive leading coefficient, so structural equality is mathematical
@@ -36,6 +40,38 @@ def _is_name(text: str) -> bool:
     return text.isidentifier()
 
 
+def _canon(q: Fraction) -> int | Fraction:
+    """A Fraction as a canonical coefficient: its numerator when it is integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _coefficient(value) -> int | Fraction:
+    """An int or Fraction as a canonical coefficient; anything else is a TypeError."""
+    if type(value) is int:
+        return value
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, Fraction):
+        return _canon(value)
+    raise TypeError(f"cannot interpret {value!r} as a scalar")
+
+
+def _div(a: int | Fraction, b: int | Fraction) -> int | Fraction:
+    """The exact quotient a / b as a canonical coefficient; never a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _canon(a / b)
+
+
+def _canonical(terms: dict) -> dict:
+    """terms with each integral Fraction replaced by its numerator, in place."""
+    for exp, c in terms.items():
+        if type(c) is not int:
+            terms[exp] = _canon(c)
+    return terms
+
+
 class ParamRing:
     """Ordered universe of named parameters shared by a family of values.
 
@@ -58,7 +94,7 @@ class ParamRing:
         self._index = {name: i for i, name in enumerate(names)}
         self._zero_exp = (0,) * len(names)
         # one shared unit: a denominator that is this object is 1 at a glance
-        self._one = ParamPoly._raw(self, {self._zero_exp: Fraction(1)})
+        self._one = ParamPoly._raw(self, {self._zero_exp: 1})
 
     def __len__(self) -> int:
         return len(self.names)
@@ -94,7 +130,7 @@ class ParamRing:
         return ParamPoly._raw(self, {})
 
     def poly_const(self, value: RatLike) -> "ParamPoly":
-        value = Fraction(value)
+        value = _coefficient(value)
         if not value:
             return self.poly_zero()
         return ParamPoly._raw(self, {self._zero_exp: value})
@@ -105,7 +141,7 @@ class ParamRing:
     def poly_param(self, name: str) -> "ParamPoly":
         i = self.index(name)
         exp = tuple(1 if j == i else 0 for j in range(len(self.names)))
-        return ParamPoly._raw(self, {exp: Fraction(1)})
+        return ParamPoly._raw(self, {exp: 1})
 
     # -- scalar-level constructors ------------------------------------------
 
@@ -130,8 +166,9 @@ class ParamPoly:
     """Multivariate polynomial over Q in the ring's parameters.
 
     ``terms`` maps exponent tuples (one slot per ring name) to nonzero
-    rational coefficients.  Display and leading-term selection use graded
-    lexicographic order, descending.
+    rational coefficients, each an ``int`` when integral and a ``Fraction``
+    otherwise.  Display and leading-term selection use graded lexicographic
+    order, descending.
     """
 
     __slots__ = ("ring", "terms")
@@ -139,14 +176,14 @@ class ParamPoly:
     def __init__(self, ring: ParamRing, terms: Mapping | Iterable = ()):
         width = len(ring.names)
         items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], int | Fraction] = {}
         for exp, coeff in items:
             exp = tuple(exp)
             if len(exp) != width:
                 raise ValueError(f"exponent {exp!r} does not fit {width} parameters")
             if any(not isinstance(e, int) or e < 0 for e in exp):
                 raise ValueError(f"exponents must be nonnegative integers, got {exp!r}")
-            coeff = Fraction(coeff)
+            coeff = _coefficient(coeff)
             if not coeff:
                 continue
             acc = clean.get(exp)
@@ -156,7 +193,7 @@ class ParamPoly:
             elif exp in clean:
                 del clean[exp]
         self.ring = ring
-        self.terms = clean
+        self.terms = _canonical(clean)
 
     @classmethod
     def _raw(cls, ring: ParamRing, terms: dict) -> "ParamPoly":
@@ -181,9 +218,9 @@ class ParamPoly:
         terms = self.terms
         return len(terms) == 1 and terms.get(self.ring._zero_exp) == 1
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         if not self.terms:
-            return Fraction(0)
+            return 0
         if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
         return next(iter(self.terms.values()))
@@ -194,7 +231,7 @@ class ParamPoly:
             return -1
         return max(sum(exp) for exp in self.terms)
 
-    def leading(self) -> tuple[tuple[int, ...], Fraction]:
+    def leading(self) -> tuple[tuple[int, ...], int | Fraction]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         exp = max(self.terms, key=_grlex_key)
@@ -253,7 +290,7 @@ class ParamPoly:
             acc = terms.get(exp)
             total = coeff if acc is None else acc + coeff
             if total:
-                terms[exp] = total
+                terms[exp] = total if type(total) is int else _canon(total)
             elif exp in terms:
                 del terms[exp]
         return ParamPoly._raw(self.ring, terms)
@@ -281,12 +318,14 @@ class ParamPoly:
             return NotImplemented
         const, poly = (other, self) if other.is_constant() else (self, other)
         if const.is_constant():
-            # one Fraction product per term; a product of nonzero rationals is nonzero
+            # one product per term; a product of nonzero rationals is nonzero
             if not const.terms:
                 return const
             c = next(iter(const.terms.values()))
-            return ParamPoly._raw(self.ring, {exp: v * c for exp, v in poly.terms.items()})
-        terms: dict[tuple[int, ...], Fraction] = {}
+            return ParamPoly._raw(
+                self.ring, _canonical({exp: v * c for exp, v in poly.terms.items()})
+            )
+        terms: dict[tuple[int, ...], int | Fraction] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 exp = tuple(i + j for i, j in zip(ea, eb))
@@ -296,7 +335,7 @@ class ParamPoly:
                     terms[exp] = total
                 elif exp in terms:
                     del terms[exp]
-        return ParamPoly._raw(self.ring, terms)
+        return ParamPoly._raw(self.ring, _canonical(terms))
 
     __rmul__ = __mul__
 
@@ -321,13 +360,13 @@ class ParamPoly:
             return self
         lexp, lc = divisor.leading()
         rem = dict(self.terms)
-        quot: dict[tuple[int, ...], Fraction] = {}
+        quot: dict[tuple[int, ...], int | Fraction] = {}
         while rem:
             rexp = max(rem, key=_grlex_key)
             diff = tuple(i - j for i, j in zip(rexp, lexp))
             if any(e < 0 for e in diff):
                 return None
-            q = rem[rexp] / lc
+            q = _div(rem[rexp], lc)
             quot[diff] = q
             for dexp, dc in divisor.terms.items():
                 exp = tuple(i + j for i, j in zip(diff, dexp))
@@ -345,26 +384,34 @@ class ParamPoly:
             raise ValueError(f"inexact polynomial division: ({self}) / ({divisor})")
         return out
 
-    def content_fraction(self) -> Fraction:
+    def content_fraction(self) -> int | Fraction:
         """Rational content carrying the sign of the leading coefficient."""
         if not self.terms:
-            return Fraction(0)
+            return 0
         num = 0
         den = 1
         for coeff in self.terms.values():
-            num = _int_gcd(num, abs(coeff.numerator))
+            num = _int_gcd(num, coeff.numerator)
             den = den * coeff.denominator // _int_gcd(den, coeff.denominator)
-        magnitude = Fraction(num, den)
-        return magnitude if self.leading()[1] > 0 else -magnitude
+        if self.leading()[1] < 0:
+            num = -num
+        return num if den == 1 else Fraction(num, den)
 
     def primitive(self) -> "ParamPoly":
-        """Integer-coprime coefficients, positive leading coefficient."""
+        """Coprime int coefficients, positive leading coefficient."""
         if not self.terms:
             return self
         content = self.content_fraction()
-        return ParamPoly._raw(
-            self.ring, {exp: c / content for exp, c in self.terms.items()}
-        )
+        num, den = content.numerator, content.denominator
+        if den == 1:
+            terms = {exp: c // num for exp, c in self.terms.items()}
+        else:
+            # c / (num/den) with den a multiple of c's denominator: an exact int quotient
+            terms = {
+                exp: c.numerator * (den // c.denominator) // num
+                for exp, c in self.terms.items()
+            }
+        return ParamPoly._raw(self.ring, terms)
 
     # -- substitution ------------------------------------------------------------
 
@@ -452,10 +499,6 @@ def _low_exp(exps: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
     return tuple(map(min, zip(*exps)))
 
 
-def _int_poly(ring: ParamRing, t: dict) -> ParamPoly:
-    return ParamPoly._raw(ring, {e: Fraction(v) for e, v in t.items()})
-
-
 def _heu_eval(a: dict, k: int, xi: int) -> dict:
     """a with variable k set to xi, exponent slot k left at 0."""
     out: dict = {}
@@ -507,7 +550,7 @@ def _gcd_heu(ring: ParamRing, a: dict, b: dict) -> dict | None:
     b = {e: v // cb for e, v in b.items()}
     k = _max_var(a.keys() | b.keys())
     xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 2
-    pa, pb = _int_poly(ring, a), _int_poly(ring, b)
+    pa, pb = ParamPoly._raw(ring, a), ParamPoly._raw(ring, b)
     for _ in range(_HEU_TRIES):
         g = _gcd_heu(ring, _heu_eval(a, k, xi), _heu_eval(b, k, xi))
         if g is None:
@@ -515,7 +558,7 @@ def _gcd_heu(ring: ParamRing, a: dict, b: dict) -> dict | None:
         g = _heu_rebuild(g, k, xi)
         cg = _int_gcd(*g.values())
         g = {e: v // cg for e, v in g.items()}
-        pg = _int_poly(ring, g)
+        pg = ParamPoly._raw(ring, g)
         if pa.try_div(pg) is not None and pb.try_div(pg) is not None:
             return {e: c * v for e, v in g.items()}
         xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
@@ -638,15 +681,11 @@ def mpoly_gcd(a: ParamPoly, b: ParamPoly) -> ParamPoly:
         return a.primitive()
     if len(a.terms) == 1 or len(b.terms) == 1:
         low = _low_exp(a.terms.keys() | b.terms.keys())
-        return ParamPoly._raw(ring, {low: Fraction(1)}) if any(low) else ring.poly_one()
-    g = _gcd_heu(
-        ring,
-        {e: v.numerator for e, v in a.primitive().terms.items()},
-        {e: v.numerator for e, v in b.primitive().terms.items()},
-    )
+        return ParamPoly._raw(ring, {low: 1}) if any(low) else ring.poly_one()
+    g = _gcd_heu(ring, a.primitive().terms, b.primitive().terms)
     if g is None:
         return _gcd_rec(a, b).primitive()
-    return _int_poly(ring, g).primitive()
+    return ParamPoly._raw(ring, g).primitive()
 
 
 def _clear_denominators(ring: ParamRing, scalars) -> tuple[list[ParamPoly], ParamPoly]:
@@ -719,7 +758,7 @@ class ParamScalar:
     def is_numeric(self) -> bool:
         return self.num.is_constant() and self.den.is_one()
 
-    def numeric_value(self) -> Fraction:
+    def numeric_value(self) -> int | Fraction:
         if not self.is_numeric():
             raise ValueError(f"not a numeric scalar: {self}")
         return self.num.constant_value()
@@ -799,7 +838,8 @@ class ParamScalar:
 
     def _scale(self, factor: RatLike) -> "ParamScalar":
         """self * factor for a nonzero int or Fraction: one product per term."""
-        terms = {exp: c * factor for exp, c in self.num.terms.items()}
+        factor = _coefficient(factor)
+        terms = _canonical({exp: c * factor for exp, c in self.num.terms.items()})
         return ParamScalar._raw(ParamPoly._raw(self.ring, terms), self.den)
 
     def __pow__(self, power: int):
@@ -857,7 +897,7 @@ def _scalar_normalize(num: ParamPoly, den: ParamPoly) -> tuple[ParamPoly, ParamP
         c = den.constant_value()
         if c == 1:
             return num, den
-        return num * (Fraction(1) / c), ring.poly_one()
+        return num * _div(1, c), ring.poly_one()
     g = mpoly_gcd(num, den)
     if not g.is_constant():
         num = num.exact_div(g)
@@ -866,9 +906,8 @@ def _scalar_normalize(num: ParamPoly, den: ParamPoly) -> tuple[ParamPoly, ParamP
             return _scalar_normalize(num, den)
     content = den.content_fraction()
     if content != 1:
-        scale = Fraction(1) / content
-        num = num * scale
-        den = den * scale
+        num = num * _div(1, content)
+        den = den.primitive()
     return num, den
 
 

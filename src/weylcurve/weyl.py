@@ -45,6 +45,7 @@ from .scalars import (
     ParamRing,
     ParamScalar,
     RatLike,
+    _canonical,
     _clear_denominators,
     _coerce_scalar,
     _same_rings,
@@ -84,7 +85,7 @@ def _cleared(ring: ParamRing, scalars) -> tuple[list, ParamPoly]:
 
 
 def _mul_into(acc: dict, ta: list, tb: list, wide: bool) -> None:
-    """Add the product of two term lists into the exponent -> Fraction dict acc."""
+    """Add the product of two term lists into the exponent -> coefficient dict acc."""
     for ea, ca in ta:
         for eb, cb in tb:
             exp = tuple(map(add, ea, eb)) if wide else ea
@@ -98,7 +99,7 @@ def _product_den(dl: ParamPoly, dr: ParamPoly) -> ParamPoly:
 
 def _scalar(ring: ParamRing, acc: dict, den: ParamPoly) -> ParamScalar:
     """The scalar acc / den from accumulated terms that may hold zeros."""
-    num = ParamPoly._raw(ring, {exp: c for exp, c in acc.items() if c})
+    num = ParamPoly._raw(ring, _canonical({exp: c for exp, c in acc.items() if c}))
     if den.is_one():
         return ParamScalar._raw(num, ring.poly_one())
     return ParamScalar(num, den)

@@ -10,6 +10,7 @@ from weylcurve import ParamPoly, ParamRing, ParamScalar, PoleError, Rat, mpoly_g
 from weylcurve import scalars as scalar_module
 from weylcurve.curve import SpectralCurve, curve_structure
 from weylcurve.parsing import parse_scalar
+from weylcurve.weyl import DiffOp, XPoly
 
 
 def ring2():
@@ -455,3 +456,94 @@ def test_structure_of_a_two_parameter_curve_with_a_double_root():
     assert set(structure) == {1, 2}
     assert structure[2] == (ring.const(5), ring.one())
     assert len(structure[1]) == 5
+
+
+# -- the canonical coefficient: an int when integral, a Fraction otherwise ----------------
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5, "1/2"])
+def test_const_rejects_a_float(bad):
+    # Fraction(0.1) would store 3602879701896397/36028797018963968 without a word
+    with pytest.raises(TypeError, match="cannot interpret"):
+        ParamRing(["A"]).const(bad)
+    with pytest.raises(TypeError, match="cannot interpret"):
+        XPoly.const(ParamRing(["A"]), bad)
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5, "1/2"])
+def test_poly_const_rejects_a_float(bad):
+    with pytest.raises(TypeError, match="cannot interpret"):
+        ParamRing(["A"]).poly_const(bad)
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5, "1/2"])
+def test_poly_constructor_rejects_a_float(bad):
+    with pytest.raises(TypeError, match="cannot interpret"):
+        ParamPoly(ParamRing(["A"]), {(0,): bad})
+
+
+def test_integral_inputs_become_ints():
+    ring = ParamRing(["A"])
+    assert type(ring.const(Fraction(6, 3)).numeric_value()) is int
+    assert type(ring.poly_const(True).constant_value()) is int
+    p = ParamPoly(ring, [((1,), Fraction(1, 2)), ((1,), Fraction(1, 2)), ((0,), Fraction(4, 2))])
+    assert p.terms == {(1,): 1, (0,): 2}
+    assert all(type(c) is int for c in p.terms.values())
+
+
+_QAB = ParamRing(("A", "B"))
+
+coefficients = st.one_of(
+    st.integers(-12, 12),
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4)),
+)
+
+
+@st.composite
+def ab_polys(draw):
+    """Polynomials over Q(A, B) with int and p/q coefficients."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        exp = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+        terms[exp] = terms.get(exp, 0) + draw(coefficients)
+    return ParamPoly(_QAB, terms)
+
+
+def _assert_canonical(*values):
+    """Every coefficient in `values` is an int, or a Fraction that is not integral."""
+    for value in values:
+        if isinstance(value, (XPoly, DiffOp)):
+            _assert_canonical(*value.coeffs)
+        elif isinstance(value, ParamScalar):
+            _assert_canonical(value.num, value.den)
+        elif isinstance(value, ParamPoly):
+            _assert_canonical(*value.terms.values())
+        else:
+            assert type(value) is int or (type(value) is Fraction and value.denominator != 1), value
+
+
+@settings(max_examples=80, deadline=None)
+@given(ab_polys(), ab_polys(), ab_polys(), coefficients.filter(bool), st.integers(0, 3))
+def test_every_source_keeps_coefficients_canonical(p, q, r, factor, power):
+    _assert_canonical(p + q, p - q, p * q, p * factor, factor * q, p**power)
+    _assert_canonical(p.primitive(), p.content_fraction(), mpoly_gcd(p * r, q * r))
+    if q:
+        _assert_canonical((p * q).exact_div(q), p.try_div(q) or 0)
+    if p.is_constant():
+        _assert_canonical(p.constant_value())
+    s = p.as_scalar() / q.as_scalar() if q else p.as_scalar()
+    t = r.as_scalar()
+    _assert_canonical(s, s + t, s - t, s * t, s._scale(factor), s**power)
+    if s:
+        _assert_canonical(s ** -power, t / s)
+    if s.is_numeric():
+        _assert_canonical(s.numeric_value())
+    _assert_canonical(p.substitute({"A": factor}), r.substitute({"A": t, "B": factor}))
+    try:
+        _assert_canonical(s.substitute({"B": factor}))
+    except PoleError:
+        pass
+    x = XPoly(_QAB, [s, t, p.as_scalar()])
+    y = XPoly(_QAB, [t, factor, s])
+    _assert_canonical(x.derivative(), x.derivative(2), x.antiderivative(), x * y, x * x)
+    _assert_canonical(DiffOp(_QAB, [x, y]) * DiffOp(_QAB, [y.antiderivative(), x, factor]))
