@@ -34,12 +34,18 @@ from .curve import SpectralCurve, solve_pair
 
 KINDS = ("thm1", "thm2", "thm3", "mironov_x3", "dixmier_rank2", "dixmier_rank3")
 
+# The graded families: V's (power, symbol) terms in declaration order, and
+# W = scale g (g+1) S x^power with S the first symbol, which must be nonzero.
+_GRADED = {
+    "thm1": (((6, "A6"), (2, "A2")), 16, 4),
+    "thm2": (((4, "A4"), (2, "A2"), (0, "A0")), 4, 2),
+    "mironov_x3": (((3, "A3"), (2, "A2"), (1, "A1"), (0, "A0")), 1, 1),
+}
+
 # Symbol names each family may use, in declaration order.
 _FAMILY_SYMBOLS = {
-    "thm1": ("A6", "A2"),
-    "thm2": ("A4", "A2", "A0"),
+    **{kind: tuple(name for _, name in v_terms) for kind, (v_terms, _, _) in _GRADED.items()},
     "thm3": ("A",),
-    "mironov_x3": ("A3", "A2", "A1", "A0"),
     "dixmier_rank2": ("alpha",),
     "dixmier_rank3": ("alpha",),
 }
@@ -126,23 +132,16 @@ def build_family(spec: FamilySpec) -> tuple[ParamRing, XPoly, XPoly]:
     """The potential pair (V, W) of a family; dixmier_rank3 has none."""
     _validate(spec)
     kind = spec.kind
-    if kind == "thm1":
+    if kind in _GRADED:
+        v_terms, scale, w_power = _GRADED[kind]
+        lead = v_terms[0][1]
         g = _require_g(spec)
-        _require_nonzero(spec, "A6")
+        _require_nonzero(spec, lead)
         ring, val = _ring_for(spec)
-        V = XPoly.monomial(ring, 6, val["A6"]) + XPoly.monomial(ring, 2, val["A2"])
-        W = XPoly.monomial(ring, 4, 16 * g * (g + 1) * val["A6"])
-        return ring, V, W
-    if kind == "thm2":
-        g = _require_g(spec)
-        _require_nonzero(spec, "A4")
-        ring, val = _ring_for(spec)
-        V = (
-            XPoly.monomial(ring, 4, val["A4"])
-            + XPoly.monomial(ring, 2, val["A2"])
-            + XPoly.const(ring, val["A0"])
-        )
-        W = XPoly.monomial(ring, 2, 4 * g * (g + 1) * val["A4"])
+        V = XPoly.zero(ring)
+        for power, name in v_terms:
+            V = V + XPoly.monomial(ring, power, val[name])
+        W = XPoly.monomial(ring, w_power, scale * g * (g + 1) * val[lead])
         return ring, V, W
     if kind == "thm3":
         n = spec.shape("n")
@@ -168,18 +167,6 @@ def build_family(spec: FamilySpec) -> tuple[ParamRing, XPoly, XPoly]:
             raise FamilySpecError("family 'thm3' needs m or b_over_a")
         V = XPoly.monomial(ring, n, a)
         W = XPoly.monomial(ring, k, b)
-        return ring, V, W
-    if kind == "mironov_x3":
-        g = _require_g(spec)
-        _require_nonzero(spec, "A3")
-        ring, val = _ring_for(spec)
-        V = (
-            XPoly.monomial(ring, 3, val["A3"])
-            + XPoly.monomial(ring, 2, val["A2"])
-            + XPoly.monomial(ring, 1, val["A1"])
-            + XPoly.const(ring, val["A0"])
-        )
-        W = XPoly.monomial(ring, 1, g * (g + 1) * val["A3"])
         return ring, V, W
     if kind == "dixmier_rank2":
         ring, val = _ring_for(spec)
@@ -334,7 +321,7 @@ def family_pair(spec: FamilySpec) -> tuple[DiffOp, DiffOp]:
 def expected_feasible(spec: FamilySpec, degree: int) -> bool | None:
     """Whether the chain is expected to close at this degree; None = no claim."""
     kind = spec.kind
-    if kind in ("thm1", "thm2", "mironov_x3"):
+    if kind in _GRADED:
         return degree >= _require_g(spec)
     if kind == "thm3":
         n = spec.shape("n")

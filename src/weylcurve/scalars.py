@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd, isqrt
+from operator import add, sub
 from typing import Iterable, Mapping, Union
 
 Rat = Fraction
@@ -70,6 +71,55 @@ def _canonical(terms: dict) -> dict:
         if type(c) is not int:
             terms[exp] = _canon(c)
     return terms
+
+
+# -- term kernels ---------------------------------------------------------------
+#
+# Every product, sum and scale of polynomials in the parameters runs on terms:
+# (exponent tuple, coefficient) pairs, gathered in an exponent -> coefficient
+# dict.  _mul_into leaves zeros and integral Fractions in its accumulator for
+# _poly to clear at the end; every sum _add_into makes and every product
+# _times makes is canonical.
+
+
+def _mul_into(acc: dict, ta: Iterable, tb: Iterable, wide: bool) -> None:
+    """Add the product of two term lists into the exponent -> coefficient dict acc.
+
+    With wide False every exponent is the empty tuple of a ring without names.
+    """
+    for ea, ca in ta:
+        for eb, cb in tb:
+            exp = tuple(map(add, ea, eb)) if wide else ea
+            v = acc.get(exp)
+            acc[exp] = ca * cb if v is None else v + ca * cb
+
+
+def _add_into(acc: dict, terms: Iterable, factor: int | Fraction = 1) -> dict:
+    """Add factor * terms into the dict acc; a sum that cancels is dropped."""
+    scaled = factor != 1
+    for exp, c in terms:
+        if scaled:
+            c = c * factor
+        v = acc.get(exp)
+        total = c if v is None else v + c
+        if total:
+            acc[exp] = total if type(total) is int else _canon(total)
+        elif v is not None:
+            del acc[exp]
+    return acc
+
+
+def _times(terms: dict, factor: int | Fraction) -> dict:
+    """terms times a nonzero rational; int coefficients stay in int arithmetic."""
+    if type(factor) is int:
+        return {e: c * factor if type(c) is int else _canon(c * factor) for e, c in terms.items()}
+    num, den = factor.numerator, factor.denominator
+    return {e: _div(c * num, den) for e, c in terms.items()}
+
+
+def _poly(ring: "ParamRing", acc: dict) -> "ParamPoly":
+    """The polynomial of an accumulator that may hold zeros and integral Fractions."""
+    return ParamPoly._raw(ring, _canonical({exp: c for exp, c in acc.items() if c}))
 
 
 class ParamRing:
@@ -176,24 +226,16 @@ class ParamPoly:
     def __init__(self, ring: ParamRing, terms: Mapping | Iterable = ()):
         width = len(ring.names)
         items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[tuple[int, ...], int | Fraction] = {}
+        checked = []
         for exp, coeff in items:
             exp = tuple(exp)
             if len(exp) != width:
                 raise ValueError(f"exponent {exp!r} does not fit {width} parameters")
             if any(not isinstance(e, int) or e < 0 for e in exp):
                 raise ValueError(f"exponents must be nonnegative integers, got {exp!r}")
-            coeff = _coefficient(coeff)
-            if not coeff:
-                continue
-            acc = clean.get(exp)
-            total = coeff if acc is None else acc + coeff
-            if total:
-                clean[exp] = total
-            elif exp in clean:
-                del clean[exp]
+            checked.append((exp, _coefficient(coeff)))
         self.ring = ring
-        self.terms = _canonical(clean)
+        self.terms = _add_into({}, checked)
 
     @classmethod
     def _raw(cls, ring: ParamRing, terms: dict) -> "ParamPoly":
@@ -285,15 +327,7 @@ class ParamPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            acc = terms.get(exp)
-            total = coeff if acc is None else acc + coeff
-            if total:
-                terms[exp] = total if type(total) is int else _canon(total)
-            elif exp in terms:
-                del terms[exp]
-        return ParamPoly._raw(self.ring, terms)
+        return ParamPoly._raw(self.ring, _add_into(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -321,21 +355,10 @@ class ParamPoly:
             # one product per term; a product of nonzero rationals is nonzero
             if not const.terms:
                 return const
-            c = next(iter(const.terms.values()))
-            return ParamPoly._raw(
-                self.ring, _canonical({exp: v * c for exp, v in poly.terms.items()})
-            )
-        terms: dict[tuple[int, ...], int | Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exp = tuple(i + j for i, j in zip(ea, eb))
-                acc = terms.get(exp)
-                total = ca * cb if acc is None else acc + ca * cb
-                if total:
-                    terms[exp] = total
-                elif exp in terms:
-                    del terms[exp]
-        return ParamPoly._raw(self.ring, _canonical(terms))
+            return ParamPoly._raw(self.ring, _times(poly.terms, next(iter(const.terms.values()))))
+        acc: dict = {}  # neither side is constant, so the ring has names
+        _mul_into(acc, self.terms.items(), other.terms.items(), True)
+        return _poly(self.ring, acc)
 
     __rmul__ = __mul__
 
@@ -363,19 +386,12 @@ class ParamPoly:
         quot: dict[tuple[int, ...], int | Fraction] = {}
         while rem:
             rexp = max(rem, key=_grlex_key)
-            diff = tuple(i - j for i, j in zip(rexp, lexp))
+            diff = tuple(map(sub, rexp, lexp))
             if any(e < 0 for e in diff):
                 return None
             q = _div(rem[rexp], lc)
             quot[diff] = q
-            for dexp, dc in divisor.terms.items():
-                exp = tuple(i + j for i, j in zip(diff, dexp))
-                acc = rem.get(exp)
-                total = -q * dc if acc is None else acc - q * dc
-                if total:
-                    rem[exp] = total
-                elif exp in rem:
-                    del rem[exp]
+            _add_into(rem, ((tuple(map(add, diff, e)), c) for e, c in divisor.terms.items()), -q)
         return ParamPoly._raw(self.ring, quot)
 
     def exact_div(self, divisor: "ParamPoly") -> "ParamPoly":
@@ -501,19 +517,9 @@ def _low_exp(exps: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
 
 def _heu_eval(a: dict, k: int, xi: int) -> dict:
     """a with variable k set to xi, exponent slot k left at 0."""
-    out: dict = {}
-    powers = {0: 1}
-    for exp, v in a.items():
-        e = exp[k]
-        if e not in powers:
-            powers[e] = xi**e
-        key = exp[:k] + (0,) + exp[k + 1 :]
-        total = out.get(key, 0) + v * powers[e]
-        if total:
-            out[key] = total
-        else:
-            out.pop(key, None)
-    return out
+    powers = {e: xi**e for e in {exp[k] for exp in a}}
+    terms = ((exp[:k] + (0,) + exp[k + 1 :], v * powers[exp[k]]) for exp, v in a.items())
+    return _add_into({}, terms)
 
 
 def _heu_rebuild(g: dict, k: int, xi: int) -> dict:
@@ -838,8 +844,7 @@ class ParamScalar:
 
     def _scale(self, factor: RatLike) -> "ParamScalar":
         """self * factor for a nonzero int or Fraction: one product per term."""
-        factor = _coefficient(factor)
-        terms = _canonical({exp: c * factor for exp, c in self.num.terms.items()})
+        terms = _times(self.num.terms, _coefficient(factor))
         return ParamScalar._raw(ParamPoly._raw(self.ring, terms), self.den)
 
     def __pow__(self, power: int):

@@ -26,18 +26,20 @@ Weyl algebra
 
 so each pair of nonzero terms costs one product of parameter polynomials.
 Both products run on the terms dicts of the coefficient numerators and build
-scalar objects once, at the end.  A coefficient with a denominator other than
-1 is handled by clearing denominators: the parameters are constants for D, so
-with N/d the coefficients of an operand over their lcm d,
-(N_L/d_L)(N_R/d_R) = (N_L N_R)/(d_L d_R), and each result coefficient is then
-reduced by ``ParamScalar``.  Degrees and orders use None for the zero element.
+scalar objects once, at the end.  The term arithmetic is the kernels of
+``scalars.py`` (``_mul_into``, ``_add_into``, ``_poly``); this module keeps
+only the bookkeeping of x-powers and D-orders.  A coefficient with a
+denominator other than 1 is handled by clearing denominators: the parameters
+are constants for D, so with N/d the coefficients of an operand over their lcm
+d, (N_L/d_L)(N_R/d_R) = (N_L N_R)/(d_L d_R), and each result coefficient is
+then reduced by ``ParamScalar``.  Degrees and orders use None for the zero
+element.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, perm
-from operator import add
 from typing import Iterable, Mapping
 
 from .scalars import (
@@ -45,9 +47,11 @@ from .scalars import (
     ParamRing,
     ParamScalar,
     RatLike,
-    _canonical,
+    _add_into,
     _clear_denominators,
     _coerce_scalar,
+    _mul_into,
+    _poly,
     _same_rings,
 )
 
@@ -84,22 +88,13 @@ def _cleared(ring: ParamRing, scalars) -> tuple[list, ParamPoly]:
     return [list(n.terms.items()) for n in nums], d
 
 
-def _mul_into(acc: dict, ta: list, tb: list, wide: bool) -> None:
-    """Add the product of two term lists into the exponent -> coefficient dict acc."""
-    for ea, ca in ta:
-        for eb, cb in tb:
-            exp = tuple(map(add, ea, eb)) if wide else ea
-            v = acc.get(exp)
-            acc[exp] = ca * cb if v is None else v + ca * cb
-
-
 def _product_den(dl: ParamPoly, dr: ParamPoly) -> ParamPoly:
     return dr if dl.is_one() else dl if dr.is_one() else dl * dr
 
 
 def _scalar(ring: ParamRing, acc: dict, den: ParamPoly) -> ParamScalar:
     """The scalar acc / den from accumulated terms that may hold zeros."""
-    num = ParamPoly._raw(ring, _canonical({exp: c for exp, c in acc.items() if c}))
+    num = _poly(ring, acc)
     if den.is_one():
         return ParamScalar._raw(num, ring.poly_one())
     return ParamScalar(num, den)
@@ -290,9 +285,7 @@ class XPoly(_Dense):
                         _mul_into(accs[2 * i], ta, ta, wide)
         if square:
             for acc, twice in zip(accs, cross):
-                for exp, c in twice.items():
-                    v = acc.get(exp)
-                    acc[exp] = c * 2 if v is None else v + c * 2
+                _add_into(acc, twice.items(), 2)
         den = _product_den(dl, dr)
         zero = ring.zero()
         return XPoly._raw(ring, [_scalar(ring, acc, den) if acc else zero for acc in accs])
@@ -439,12 +432,7 @@ class DiffOp(_Dense):
                 _mul_into(prod, ta, tb, wide)
                 for k in range(min(i, q) + 1):
                     f = comb(i, k) * perm(q, k)
-                    acc = out.setdefault((i + j - k, p + q - k), {})
-                    for exp, c in prod.items():
-                        if f != 1:
-                            c = c * f
-                        v = acc.get(exp)
-                        acc[exp] = c if v is None else v + c
+                    _add_into(out.setdefault((i + j - k, p + q - k), {}), prod.items(), f)
         den = _product_den(dl, dr)
         zero = ring.zero()
         rows: list[list] = [[] for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]

@@ -197,6 +197,34 @@ def test_commutator_family_and_explicit(capsys):
     assert json.loads(out)["result"]["commutator"] == "2*D"
 
 
+def test_commutator_binds_explicit_params(capsys):
+    argv = ["commutator", "--params", "a", "--L", "D + a*x", "--M", "D^2 + x^2"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 1  # [D + a x, D^2 + x^2] = 2x - 2a D
+    report = json.loads(out)
+    assert report["inputs"]["L"] == "D + a*x"
+    assert report["result"]["commutator"] == "-2*a*D + 2*x"
+    code, out, _ = run_cli(argv + ["--bind", "a=0"], capsys)
+    assert code == 1
+    report = json.loads(out)
+    assert report["inputs"] == {"params": ["a"], "L": "D", "M": "D^2 + x^2"}
+    assert report["result"]["commutator"] == "2*x"
+
+
+@pytest.mark.parametrize(
+    "bind, params, pretty",
+    [([], ["alpha"], "z^3 + (-alpha)"), (["--bind", "alpha=3"], [], "z^3 + (-3)")],
+)
+def test_dixmier_rank2_square_form_curve(bind, params, pretty, capsys):
+    # V = x^3 + alpha, W = 2x: the curve of M^2 = L^3 - alpha
+    code, out, _ = run_cli(["curve", "--family", "dixmier_rank2", "--m", "1"] + bind, capsys)
+    assert code == 0
+    curve = json.loads(out)["result"]["curve"]
+    assert curve["params"] == params
+    assert curve["pretty"] == pretty
+    assert curve["genus_bound"] == 1
+
+
 def test_singular_exit_codes(capsys):
     code, out, _ = run_cli(
         ["singular", "--family", "thm3", "--n", "5", "--b-mult", "1",

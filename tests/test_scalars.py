@@ -510,13 +510,15 @@ def ab_polys(draw):
 
 
 def _assert_canonical(*values):
-    """Every coefficient in `values` is an int, or a Fraction that is not integral."""
+    """Every coefficient in `values` is an int, or a Fraction that is not integral;
+    a polynomial stores no zero coefficient."""
     for value in values:
         if isinstance(value, (XPoly, DiffOp)):
             _assert_canonical(*value.coeffs)
         elif isinstance(value, ParamScalar):
             _assert_canonical(value.num, value.den)
         elif isinstance(value, ParamPoly):
+            assert all(value.terms.values()), value.terms
             _assert_canonical(*value.terms.values())
         else:
             assert type(value) is int or (type(value) is Fraction and value.denominator != 1), value
@@ -525,7 +527,7 @@ def _assert_canonical(*values):
 @settings(max_examples=80, deadline=None)
 @given(ab_polys(), ab_polys(), ab_polys(), coefficients.filter(bool), st.integers(0, 3))
 def test_every_source_keeps_coefficients_canonical(p, q, r, factor, power):
-    _assert_canonical(p + q, p - q, p * q, p * factor, factor * q, p**power)
+    _assert_canonical(p + q, p - q, p - p, p * q, p * factor, factor * q, p**power)
     _assert_canonical(p.primitive(), p.content_fraction(), mpoly_gcd(p * r, q * r))
     if q:
         _assert_canonical((p * q).exact_div(q), p.try_div(q) or 0)
