@@ -49,28 +49,11 @@ class QPoly(_Dense):
     def from_xpoly(cls, p: XPoly) -> "QPoly":
         return cls(p.ring, [p])
 
-    @classmethod
-    def z(cls, ring: ParamRing) -> "QPoly":
-        return cls._raw(ring, [XPoly.zero(ring), XPoly.const(ring, 1)])
-
     def __mul__(self, other: "QPoly") -> "QPoly":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         return QPoly._raw(self.ring, dense_mul(self.coeffs, other.coeffs, XPoly.zero(self.ring)))
-
-    def scale_x(self, p) -> "QPoly":
-        """Multiply every z-coefficient by an x-polynomial or scalar."""
-        if not isinstance(p, XPoly):
-            p = XPoly.const(self.ring, p)
-        return QPoly._raw(self.ring, [c * p for c in self.coeffs])
-
-    def times_z(self) -> "QPoly":
-        return QPoly._raw(self.ring, [XPoly.zero(self.ring), *self.coeffs])
-
-    def dx(self, order: int = 1) -> "QPoly":
-        """Derivative in x, coefficientwise."""
-        return QPoly._raw(self.ring, [c.derivative(order) for c in self.coeffs])
 
     @staticmethod
     def _term(c: XPoly, power: int) -> tuple[bool, str]:
@@ -126,10 +109,7 @@ class QChain:
         u = [p.lift(ring) for p in self.u]
         v = [p.lift(ring) for p in self.v]
         cs = [ring.param(name) for name in self.constants]
-        return tuple(
-            sum((v[i - j].scale(cs[j - 1]) for j in range(1, i + 1)), u[i - 1])
-            for i in range(1, self.m + 2)
-        )
+        return tuple(_combine(u, v, cs, i) for i in range(1, self.m + 2))
 
     def entry(self, i: int) -> XPoly:
         """a_i for 1 <= i <= m+1."""
@@ -141,6 +121,15 @@ class QChain:
     def closing_entry(self) -> XPoly:
         """a_{m+1}, whose x-dependence must vanish for L to commute."""
         return self.entries[-1]
+
+
+def _combine(u, v, cs, i: int) -> XPoly:
+    """a_i = u_{i-1} + sum_{j<=i} c_j v_{i-j} for cs = (c_1, c_2, ...); zero c_j are skipped."""
+    out = u[i - 1]
+    for j in range(1, i + 1):
+        if cs[j - 1]:
+            out = out + v[i - j].scale(cs[j - 1])
+    return out
 
 
 def build_qchain(V: XPoly, W: XPoly, m: int, prefix: QChain | None = None) -> QChain:
@@ -338,8 +327,8 @@ def assemble_q(
     Free constants default to 0 unless overridden.  C_{m+1} only shifts Q
     by a scalar; it stays a formal choice and we take the canonical
     representative 0.  With the values c_j, a_i = u_{i-1} + sum_{j<=i} c_j
-    v_{i-j}.  The closing entry must come out x-constant; anything else is a
-    logic error.
+    v_{i-j}.  The closing entry a_{m+1} must come out x-constant; anything
+    else is a logic error.
     """
     if not outcome.feasible:
         raise ChainError("cannot assemble Q from an infeasible outcome")
@@ -352,18 +341,11 @@ def assemble_q(
     values = [
         _at_constants(outcome.assignment[name], ring, at) if name in outcome.assignment else at[j]
         for j, name in enumerate(chain.constants[:-1])
-    ]
-
-    def entry(i: int) -> XPoly:
-        out = chain.u[i - 1]
-        for j in range(1, min(i, chain.m) + 1):
-            if values[j - 1]:
-                out = out + chain.v[i - j].scale(values[j - 1])
-        return out
-
-    if not entry(chain.m + 1).is_constant():
+    ] + [0]
+    entries = [_combine(chain.u, chain.v, values, i) for i in range(1, chain.m + 2)]
+    if not entries[-1].is_constant():
         raise ChainError("closing entry stayed x-dependent after substitution")
-    return QPoly._raw(ring, [entry(i) for i in range(chain.m, 0, -1)] + [XPoly.const(ring, 1)])
+    return QPoly._raw(ring, entries[-2::-1] + [XPoly.const(ring, 1)])
 
 
 def _at_constants(value: ParamScalar, ring: ParamRing, at: list[RatLike]) -> ParamScalar:

@@ -39,6 +39,7 @@ from .scalars import (
     ParamScalar,
     RatLike,
     _clear_denominators,
+    _deg_in_idx,
     mpoly_gcd,
 )
 from .weyl import XPoly
@@ -210,10 +211,6 @@ def _lift(curve: SpectralCurve) -> ParamPoly:
     return ParamPoly(ring.extend([zname]), terms)
 
 
-def _z_degree(p: ParamPoly) -> int:
-    return max(exp[-1] for exp in p.terms)
-
-
 def _dz(p: ParamPoly) -> ParamPoly:
     return ParamPoly(
         p.ring,
@@ -223,7 +220,7 @@ def _dz(p: ParamPoly) -> ParamPoly:
 
 def _monic_coeffs(p: ParamPoly, ring: ParamRing) -> tuple[ParamScalar, ...]:
     """Ascending z-coefficients of p over `ring`, divided by the leading one."""
-    parts: list[dict] = [{} for _ in range(_z_degree(p) + 1)]
+    parts: list[dict] = [{} for _ in range(_deg_in_idx(p, -1) + 1)]
     for exp, coeff in p.terms.items():
         parts[exp[-1]][exp[:-1]] = coeff
     polys = [ParamPoly(ring, terms) for terms in parts]
@@ -244,7 +241,7 @@ def curve_is_singular(
         )
     f = _lift(bound)
     g = mpoly_gcd(f, _dz(f))
-    if _z_degree(g) == 0:
+    if _deg_in_idx(g, -1) == 0:
         return SingularityReport(singular=False, witness=None)
     witness = tuple(c.numeric_value() for c in _monic_coeffs(g, bound.ring))
     return SingularityReport(singular=True, witness=witness)
@@ -270,16 +267,16 @@ def curve_structure(curve: SpectralCurve) -> tuple[tuple[tuple[ParamScalar, ...]
     f = _lift(curve)
     fp = _dz(f)
     a0 = mpoly_gcd(f, fp)
-    if _z_degree(a0) == 0:
+    if _deg_in_idx(a0, -1) == 0:
         return ((curve.coeffs, 1),)
     b = f.exact_div(a0)
     c = fp.exact_div(a0)
     factors = []
     i = 1
-    while _z_degree(b) > 0:
+    while _deg_in_idx(b, -1) > 0:
         d = c - _dz(b)
         a = mpoly_gcd(b, d)
-        if _z_degree(a) > 0:
+        if _deg_in_idx(a, -1) > 0:
             factors.append((_monic_coeffs(a, curve.ring), i))
         b = b.exact_div(a)
         c = d.exact_div(a)

@@ -15,6 +15,10 @@ equality and values are safe to hash.
 The parameter universe is fixed when a ``ParamRing`` is created.  Widening it
 (for example to add integration constants) goes through ``ParamRing.extend``
 plus the ``lift`` methods, never by mutation.
+
+Subtraction is written once, in ``_Subtraction``: a value class with
+``_coerce``, ``__add__`` and ``__neg__`` inherits a - b and b - a from it.
+Both scalar classes here do, and so does ``weyl._Dense``.
 """
 
 from __future__ import annotations
@@ -79,17 +83,15 @@ def _canonical(terms: dict) -> dict:
 # (exponent tuple, coefficient) pairs, gathered in an exponent -> coefficient
 # dict.  _mul_into leaves zeros and integral Fractions in its accumulator for
 # _poly to clear at the end; every sum _add_into makes and every product
-# _times makes is canonical.
+# _times makes is canonical.  _mul_into skips the exponent sum in a ring
+# without names, whose only exponent is the empty tuple.
 
 
-def _mul_into(acc: dict, ta: Iterable, tb: Iterable, wide: bool) -> None:
-    """Add the product of two term lists into the exponent -> coefficient dict acc.
-
-    With wide False every exponent is the empty tuple of a ring without names.
-    """
+def _mul_into(acc: dict, ta: Iterable, tb: Iterable) -> None:
+    """Add the product of two term lists into the exponent -> coefficient dict acc."""
     for ea, ca in ta:
         for eb, cb in tb:
-            exp = tuple(map(add, ea, eb)) if wide else ea
+            exp = tuple(map(add, ea, eb)) if ea else ea
             v = acc.get(exp)
             acc[exp] = ca * cb if v is None else v + ca * cb
 
@@ -120,6 +122,32 @@ def _times(terms: dict, factor: int | Fraction) -> dict:
 def _poly(ring: "ParamRing", acc: dict) -> "ParamPoly":
     """The polynomial of an accumulator that may hold zeros and integral Fractions."""
     return ParamPoly._raw(ring, _canonical({exp: c for exp, c in acc.items() if c}))
+
+
+def _join_term(parts: list[str], term: tuple[bool, str]) -> str:
+    """One (is_negative, magnitude_text) term, signed as it follows `parts`."""
+    neg, body = term
+    if not parts:
+        return f"-{body}" if neg else body
+    return f" - {body}" if neg else f" + {body}"
+
+
+class _Subtraction:
+    """a - b and b - a from the class's _coerce, __add__ and __neg__."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
 
 
 class ParamRing:
@@ -212,7 +240,7 @@ def _grlex_key(exp: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return (sum(exp), exp)
 
 
-class ParamPoly:
+class ParamPoly(_Subtraction):
     """Multivariate polynomial over Q in the ring's parameters.
 
     ``terms`` maps exponent tuples (one slot per ring name) to nonzero
@@ -280,10 +308,7 @@ class ParamPoly:
         return exp, self.terms[exp]
 
     def degree_in(self, name: str) -> int:
-        i = self.ring.index(name)
-        if not self.terms:
-            return -1
-        return max(exp[i] for exp in self.terms)
+        return _deg_in_idx(self, self.ring.index(name))
 
     def free_params(self) -> frozenset[str]:
         names = self.ring.names
@@ -334,18 +359,6 @@ class ParamPoly:
     def __neg__(self):
         return ParamPoly._raw(self.ring, {exp: -c for exp, c in self.terms.items()})
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -357,7 +370,7 @@ class ParamPoly:
                 return const
             return ParamPoly._raw(self.ring, _times(poly.terms, next(iter(const.terms.values()))))
         acc: dict = {}  # neither side is constant, so the ring has names
-        _mul_into(acc, self.terms.items(), other.terms.items(), True)
+        _mul_into(acc, self.terms.items(), other.terms.items())
         return _poly(self.ring, acc)
 
     __rmul__ = __mul__
@@ -465,8 +478,6 @@ class ParamPoly:
         return bool(self.terms)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         names = self.ring.names
         parts: list[str] = []
         for exp in sorted(self.terms, key=_grlex_key, reverse=True):
@@ -484,11 +495,8 @@ class ParamPoly:
                 body = mono
             else:
                 body = f"{mag}*{mono}"
-            if not parts:
-                parts.append(f"-{body}" if coeff < 0 else body)
-            else:
-                parts.append(f" - {body}" if coeff < 0 else f" + {body}")
-        return "".join(parts)
+            parts.append(_join_term(parts, (coeff < 0, body)))
+        return "".join(parts) or "0"
 
     def __repr__(self) -> str:
         return f"ParamPoly({self})"
@@ -583,6 +591,7 @@ def _max_var(exps: Iterable[tuple[int, ...]]) -> int | None:
 
 
 def _deg_in_idx(p: ParamPoly, k: int) -> int:
+    """Degree of p in variable k (an index into the ring's names); -1 for zero."""
     if not p.terms:
         return -1
     return max(exp[k] for exp in p.terms)
@@ -725,7 +734,7 @@ def _coerce_scalar(ring: ParamRing, value) -> "ParamScalar":
     raise TypeError(f"cannot interpret {value!r} as a scalar")
 
 
-class ParamScalar:
+class ParamScalar(_Subtraction):
     """Element of Q(parameters) in canonical reduced form.
 
     Invariants: gcd(num, den) is constant; den is primitive with integer
@@ -805,18 +814,6 @@ class ParamScalar:
 
     def __neg__(self):
         return ParamScalar._raw(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         other = self._coerce(other)

@@ -2,12 +2,13 @@
 
 Every coefficient sequence of the engine is a ``_Dense``: a parameter ring
 plus an ascending tuple of entries with no trailing zeros.  ``_Dense`` owns
-construction and trimming, the zero value, coefficient access, addition,
-negation and subtraction, lifting to a larger ring, equality, hashing and
-the descending-power display loop.  A subclass says how a constructor
-argument becomes an entry (``_entry``), which other operands arithmetic and
-equality promote to a one-entry value (``_OPERANDS``) and how one nonzero
-term is displayed (``_term``), and adds its own products and calculus:
+construction and trimming, the zero value, coefficient access, addition and
+negation (subtraction comes from ``scalars._Subtraction``), lifting to a
+larger ring, equality, hashing and the descending-power display loop.  A
+subclass says how a constructor argument becomes an entry (``_entry``), which
+other operands arithmetic and equality promote to a one-entry value
+(``_OPERANDS``) and how one nonzero term is displayed (``_term``), and adds
+its own products and calculus:
 
 - ``XPoly`` is a dense polynomial in the variable x whose entries are exact
   parameter scalars; it adds products, powers, derivatives and integrals.
@@ -15,7 +16,7 @@ term is displayed (``_term``), and adds its own products and calculus:
   sum_i c_i(x) D^i with D = d/dx and XPoly entries; it adds composition,
   commutators and application to an XPoly.
 - ``chain.QPoly`` is the certificate Q(x, z), a polynomial in the spectral
-  variable z with XPoly entries; it adds z-products and x-derivatives.
+  variable z with XPoly entries; it adds z-products.
 - ``curve.SpectralCurve`` is the monic F(z) of a spectral curve w^2 = F(z),
   an XPoly whose variable is z; it adds the monic check and the genus bound.
 
@@ -47,9 +48,11 @@ from .scalars import (
     ParamRing,
     ParamScalar,
     RatLike,
+    _Subtraction,
     _add_into,
     _clear_denominators,
     _coerce_scalar,
+    _join_term,
     _mul_into,
     _poly,
     _same_rings,
@@ -106,7 +109,7 @@ def _trim(coeffs: list) -> tuple:
     return tuple(coeffs)
 
 
-class _Dense:
+class _Dense(_Subtraction):
     """A parameter ring and an ascending tuple of entries without trailing zeros.
 
     Subclasses set ``_entry(ring, value)``, which turns one constructor
@@ -170,18 +173,6 @@ class _Dense:
 
     def __neg__(self):
         return self._raw(self.ring, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def lift(self, ring: ParamRing):
         if ring == self.ring:
@@ -273,16 +264,15 @@ class XPoly(_Dense):
         left, dl = _cleared(ring, self.coeffs)
         right, dr = (left, dl) if square else _cleared(ring, other.coeffs)
         right = [(j, tb) for j, tb in enumerate(right) if tb]
-        wide = bool(ring.names)
         accs = [{} for _ in range(len(left) + len(other.coeffs) - 1)]
         cross = [{} for _ in accs] if square else accs
         for i, ta in enumerate(left):
             if ta:
                 for j, tb in right:
                     if j > i or not square:
-                        _mul_into(cross[i + j], ta, tb, wide)
+                        _mul_into(cross[i + j], ta, tb)
                     elif j == i:
-                        _mul_into(accs[2 * i], ta, ta, wide)
+                        _mul_into(accs[2 * i], ta, ta)
         if square:
             for acc, twice in zip(accs, cross):
                 _add_into(acc, twice.items(), 2)
@@ -355,13 +345,6 @@ def _render_coeff_power(c: ParamScalar, var: str, power: int) -> tuple[bool, str
     return neg, f"{body}*{var_part}"
 
 
-def _join_term(parts: list[str], term: tuple[bool, str]) -> str:
-    neg, body = term
-    if not parts:
-        return f"-{body}" if neg else body
-    return f" - {body}" if neg else f" + {body}"
-
-
 def xpoly_integrate(p: XPoly, constant: "RatLike | ParamScalar | str" = 0) -> XPoly:
     """Antiderivative of p with the given constant term.
 
@@ -423,13 +406,12 @@ class DiffOp(_Dense):
         left, dl = _cleared(ring, lscalars)
         right, dr = _cleared(ring, rscalars)
         right = list(zip(rkeys, right))
-        wide = bool(ring.names)
         # (D-order, x-power) -> accumulated terms of that coefficient
         out: dict[tuple[int, int], dict] = {}
         for (i, p), ta in zip(lkeys, left):
             for (j, q), tb in right:
                 prod: dict = {}
-                _mul_into(prod, ta, tb, wide)
+                _mul_into(prod, ta, tb)
                 for k in range(min(i, q) + 1):
                     f = comb(i, k) * perm(q, k)
                     _add_into(out.setdefault((i + j - k, p + q - k), {}), prod.items(), f)

@@ -4,7 +4,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from weylcurve import FamilySpec, SpectralCurve, build_family, build_qchain, solve_pair
+from weylcurve import (
+    FamilySpec,
+    ParamRing,
+    QPoly,
+    SpectralCurve,
+    XPoly,
+    build_family,
+    build_qchain,
+    solve_pair,
+)
 
 
 def family_chain(kind, params, m):
@@ -33,3 +42,27 @@ def curve_equals(curve: SpectralCurve, coeffs) -> bool:
 
 def frac(value) -> Fraction:
     return Fraction(value)
+
+
+# -- Q(x, z) helpers for reference computations ------------------------------
+
+
+def q_z(ring: ParamRing) -> QPoly:
+    """The spectral variable z as a QPoly."""
+    return QPoly(ring, [XPoly.zero(ring), XPoly.const(ring, 1)])
+
+
+def scale_x(Q: QPoly, p) -> QPoly:
+    """Q with every z-coefficient multiplied by an x-polynomial or scalar."""
+    if not isinstance(p, XPoly):
+        p = XPoly.const(Q.ring, p)
+    return QPoly(Q.ring, [c * p for c in Q.coeffs])
+
+
+def times_z(Q: QPoly) -> QPoly:
+    return QPoly(Q.ring, [XPoly.zero(Q.ring), *Q.coeffs])
+
+
+def dx(Q: QPoly, order: int = 1) -> QPoly:
+    """Derivative of Q in x, coefficientwise."""
+    return QPoly(Q.ring, [c.derivative(order) for c in Q.coeffs])

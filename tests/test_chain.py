@@ -25,7 +25,7 @@ from weylcurve import (
 from weylcurve.chain import QPoly
 from weylcurve.parsing import parse_scalar
 
-from support import family_chain, solved_family
+from support import family_chain, q_z, solved_family
 
 
 def raw_q(chain) -> QPoly:
@@ -291,7 +291,7 @@ def test_assemble_q_free_values():
 def test_residual_examples():
     ring = ParamRing(())
     V = XPoly.zero(ring)
-    Q = QPoly.z(ring) + QPoly.from_xpoly(XPoly.x(ring))
+    Q = q_z(ring) + QPoly.from_xpoly(XPoly.x(ring))
     res = residual_eq2(Q, V, V)
     assert res.coefficient(1).constant_value() == 4  # residual is exactly 4z
     assert res.coefficient(0).is_zero()

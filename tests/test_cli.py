@@ -307,6 +307,20 @@ def test_oracle_check(capsys):
     assert all(row["agree"] for row in report["result"]["rows"])
 
 
+def test_oracle_check_thm3(capsys):
+    # the README example: rungs of x^k against the closed form for V = A x^5
+    argv = ["oracle-check", "--family", "thm3", "--n", "5", "--k-range", "0:8"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["all_agree"] is True
+    assert [row["k"] for row in result["rows"]] == list(range(9))
+    assert result["rows"][1]["recursion"] == "35/4*A*x^4 + C"
+    code, _, err = run_cli(["oracle-check", "--family", "thm3", "--n", "3"], capsys)
+    assert code == 2
+    assert "oracle-check thm3 needs --n > 3" in err
+
+
 def test_input_errors_exit_2(capsys, tmp_path):
     # malformed expression: position is reported
     code, _, err = run_cli(

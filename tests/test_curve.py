@@ -21,7 +21,7 @@ from weylcurve import (
 from weylcurve.chain import QPoly
 from weylcurve.weyl import dense_mul
 
-from support import solved_family
+from support import dx, q_z, scale_x, solved_family, times_z
 
 
 def numeric_curve(*ascending) -> SpectralCurve:
@@ -78,7 +78,7 @@ def test_spectral_curve_is_a_checked_xpoly():
 def test_x_dependence_is_an_error_with_offenders():
     ring = ParamRing(())
     V = XPoly.zero(ring)
-    Q = QPoly.z(ring) + QPoly.from_xpoly(XPoly.x(ring))  # does not certify closure
+    Q = q_z(ring) + QPoly.from_xpoly(XPoly.x(ring))  # does not certify closure
     with pytest.raises(XDependenceError) as err:
         spectral_curve(Q, V, V)
     assert err.value.offenders  # the non-constant z-coefficients are reported
@@ -89,13 +89,13 @@ def full_expansion(Q: QPoly, V: XPoly, W: XPoly) -> QPoly:
     """4 F with every x-power kept: the module formula expanded in full."""
     ring = Q.ring
     V, W = V.lift(ring), W.lift(ring)
-    q1, q2, q3, q4 = Q.dx(), Q.dx(2), Q.dx(3), Q.dx(4)
+    q1, q2, q3, q4 = dx(Q), dx(Q, 2), dx(Q, 3), dx(Q, 4)
     return (
-        ((Q.times_z() - Q.scale_x(W)) * Q).scale_x(4)
-        - (q1 * q1).scale_x(4 * V)
+        scale_x((times_z(Q) - scale_x(Q, W)) * Q, 4)
+        - scale_x(q1 * q1, 4 * V)
         + q2 * q2
-        - (q1 * q3).scale_x(2)
-        + (Q * (q1.scale_x(2 * V.derivative()) + q2.scale_x(4 * V) + q4)).scale_x(2)
+        - scale_x(q1 * q3, 2)
+        + scale_x(Q * (scale_x(q1, 2 * V.derivative()) + scale_x(q2, 4 * V) + q4), 2)
     )
 
 
@@ -158,7 +158,7 @@ def test_family_curves_match_full_expansion():
 @given(qpolys(monic=False), xpolys(3), xpolys(3))
 def test_curve_expression_is_a_first_integral(Q, V, W):
     # d(4F)/dx = 2 Q R, so R = 0 proves 4F free of x
-    assert full_expansion(Q, V, W).dx() == (Q * residual_eq2(Q, V, W)).scale_x(2)
+    assert dx(full_expansion(Q, V, W)) == scale_x(Q * residual_eq2(Q, V, W), 2)
 
 
 def test_singularity_examples():

@@ -69,6 +69,21 @@ def test_dense_containers_share_their_plumbing():
     assert p != other.param("B") and p != 1
 
 
+@pytest.mark.parametrize("kind", ["ParamPoly", "ParamScalar", "XPoly", "DiffOp"])
+def test_reflected_subtraction(kind):
+    ring = ParamRing(("A",))
+    a = ring.param("A")
+    p = {
+        "ParamPoly": ring.poly_param("A") + 3,
+        "ParamScalar": (a + 3) / (a - 1),
+        "XPoly": XPoly(ring, [3, a]),
+        "DiffOp": DiffOp(ring, [XPoly.x(ring), a]),
+    }[kind]
+    for c in (1, Fraction(1, 2)):
+        assert type(c - p) is type(p)
+        assert c - p == -(p - c)
+
+
 def test_xpoly_derivative_examples():
     ring, (_, V, W) = ParamRing(("A6", "A2")), build_family(FamilySpec("thm1", {"g": 1}))
     # W = 32 A6 x^4, so the fourth derivative is the constant 768 A6
