@@ -32,7 +32,8 @@ from .curve import (
     solve_pair,
 )
 from .families import (
-    _FAMILY_SYMBOLS,
+    COEFFICIENT_SYMBOLS,
+    FAMILIES,
     KINDS,
     PAIR_RANKS,
     STEP_CONSTANT,
@@ -42,6 +43,7 @@ from .families import (
     attempt_degrees,
     build_family,
     family_pair,
+    probe_degrees,
     run_family_verdict,
     thm1_monomial_step,
     thm2_monomial_step,
@@ -52,9 +54,6 @@ from .parsing import ExprError, parse_diffop, parse_xpoly
 
 class CliInputError(ValueError):
     """Bad command-line input; reported on stderr with exit code 2."""
-
-
-_FAMILY_SYMBOL_KEYS = {name for names in _FAMILY_SYMBOLS.values() for name in names}
 
 
 @dataclass
@@ -75,8 +74,6 @@ class JobSpec:
     g_range: tuple[int, int] | None = None
     m_range: tuple[int, int] | None = None
     k_range: tuple[int, int] = (0, 6)
-    g: int | None = None
-    n: int | None = None
     out: str | None = None
     golden: str | None = None
 
@@ -176,7 +173,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-check", help="compare chain rungs against closed forms")
     common(p, pair_input=False)
-    p.add_argument("--family", choices=("thm1", "thm2", "thm3"), required=True)
+    p.add_argument("--family", choices=tuple(_ORACLES), required=True)
     p.add_argument("--g", type=int, help="g for thm1/thm2")
     p.add_argument("--n", type=int, help="n for thm3")
     p.add_argument("--k-range", default="0:6", help="inclusive LO:HI of rung inputs (default 0:6)")
@@ -195,8 +192,6 @@ def job_from_args(args: argparse.Namespace) -> JobSpec:
     )
     job.m = getattr(args, "m", None)
     job.g_bound = getattr(args, "g_bound", 4)
-    job.g = getattr(args, "g", None)
-    job.n = getattr(args, "n", None)
     if getattr(args, "g_range", None):
         job.g_range = _parse_range(args.g_range, "--g-range")
     if getattr(args, "m_range", None):
@@ -205,19 +200,14 @@ def job_from_args(args: argparse.Namespace) -> JobSpec:
         job.k_range = _parse_range(args.k_range, "--k-range")
 
     family_kind = getattr(args, "family", None)
-    if args.command == "oracle-check":
-        job.family = FamilySpec(family_kind, {})
-        return job
     if family_kind is not None:
         parameters: dict = {}
-        for key, value in (("g", job.g), ("n", job.n), ("k", getattr(args, "k", None)),
-                           ("b_mult", getattr(args, "b_mult", None))):
+        for key in ("g", "n", "k", "b_mult", "b_over_a"):
+            value = getattr(args, key, None)
             if value is not None:
-                parameters[key] = value
-        if getattr(args, "b_over_a", None) is not None:
-            parameters["b_over_a"] = _parse_fraction(args.b_over_a)
+                parameters[key] = _parse_fraction(value) if key == "b_over_a" else value
         for name, value in bindings.items():
-            if name not in _FAMILY_SYMBOL_KEYS:
+            if name not in COEFFICIENT_SYMBOLS:
                 raise CliInputError(
                     f"--bind {name!r} is not a coefficient symbol of a named family"
                 )
@@ -309,6 +299,21 @@ def _family_echo(spec: FamilySpec) -> dict:
     }
 
 
+def _explicit_operands(job: JobSpec, parse, **texts: str) -> tuple[list, dict]:
+    """The job's operand texts parsed over its declared parameters, with
+    --bind applied, plus the echo of the inputs."""
+    ring = ParamRing(job.params)
+    echo: dict = {"params": list(job.params)}
+    operands = []
+    for key, text in texts.items():
+        operand = parse(ring, text)
+        if job.bindings:
+            operand = operand.substitute_params(job.bindings)
+        operands.append(operand)
+        echo[key] = str(operand)
+    return operands, echo
+
+
 def _potential_pair(job: JobSpec) -> tuple[XPoly, XPoly, dict]:
     """(V, W, echo-of-inputs) for family or explicit input."""
     if job.family is not None:
@@ -316,17 +321,7 @@ def _potential_pair(job: JobSpec) -> tuple[XPoly, XPoly, dict]:
         return V, W, _family_echo(job.family)
     if job.v_text is None or job.w_text is None:
         raise CliInputError("need --family, or V and W (inline or in the document)")
-    ring = ParamRing(job.params)
-    V = parse_xpoly(ring, job.v_text)
-    W = parse_xpoly(ring, job.w_text)
-    if job.bindings:
-        V = V.substitute_params(job.bindings)
-        W = W.substitute_params(job.bindings)
-    echo = {
-        "params": list(job.params),
-        "V": str(V),
-        "W": str(W),
-    }
+    (V, W), echo = _explicit_operands(job, parse_xpoly, V=job.v_text, W=job.w_text)
     return V, W, echo
 
 
@@ -442,12 +437,7 @@ def _run_verdict(job: JobSpec) -> tuple[int, dict]:
     if job.family is None:
         # an explicit pair makes no claim: verified = some probed degree closes
         V, W, echo = _potential_pair(job)
-        degrees = [job.m] if job.m is not None else range(1, job.g_bound + 1)
-        if not degrees:
-            raise CliInputError(
-                f"--g-bound {job.g_bound} leaves no degree to probe; it must be >= 1"
-            )
-        rows = attempt_degrees(V, W, [(m, None) for m in degrees])
+        rows = attempt_degrees(V, W, [(m, None) for m in probe_degrees(job.m, job.g_bound)])
         identities = None
         verified = any(row.status != "infeasible" for row in rows)
     else:
@@ -475,13 +465,7 @@ def _run_commutator(job: JobSpec) -> tuple[int, dict]:
     else:
         if job.l_text is None or job.m_text is None:
             raise CliInputError("commutator needs --family, or L and M expressions")
-        ring = ParamRing(job.params)
-        L = parse_diffop(ring, job.l_text)
-        M = parse_diffop(ring, job.m_text)
-        if job.bindings:
-            L = L.substitute_params(job.bindings)
-            M = M.substitute_params(job.bindings)
-        echo = {"params": list(job.params), "L": str(L), "M": str(M)}
+        (L, M), echo = _explicit_operands(job, parse_diffop, L=job.l_text, M=job.m_text)
     bracket = L.commutator(M)
     report = {
         "command": "commutator",
@@ -524,22 +508,21 @@ def _run_scan(job: JobSpec) -> tuple[int, dict]:
         raise CliInputError("scan applies to the potential families, not the fixed pairs")
     if job.m_range is None:
         raise CliInputError("scan needs --m-range")
-    if job.family.kind == "thm3":
-        g_values: list[int | None] = [None]
-    elif job.g_range is not None:
-        g_values = list(range(job.g_range[0], job.g_range[1] + 1))
-    elif isinstance(job.family.shape("g"), int):
-        g_values = [job.family.shape("g")]
-    else:
+    kind = job.family.kind
+    if job.g_range is not None:
+        # a family that does not take g refuses these when they are built
+        lo, hi = job.g_range
+        specs = [FamilySpec(kind, {**job.family.parameters, "g": g}) for g in range(lo, hi + 1)]
+    elif "g" in FAMILIES[kind].shape_keys and job.family.shape("g") is None:
         raise CliInputError("scan needs --g-range (or --g) for this family")
+    else:
+        specs = [job.family]
     rows = []
-    for g in g_values:
+    for spec in specs:
+        g = spec.shape("g")
         if g is not None and g < 1:
             raise CliInputError("scan g values must be >= 1")
-        parameters = dict(job.family.parameters)
-        if g is not None:
-            parameters["g"] = g
-        _, V, W = build_family(FamilySpec(job.family.kind, parameters))
+        _, V, W = build_family(spec)
         m_values = range(job.m_range[0], job.m_range[1] + 1)
         for result in attempt_degrees(V, W, [(m, None) for m in m_values]):
             curve = result.curve
@@ -566,42 +549,45 @@ def _run_scan(job: JobSpec) -> tuple[int, dict]:
     return 0, report
 
 
-_ORACLE_STRIDE = {"thm1": 4, "thm2": 2, "thm3": 1}
+# Closed-form rung images by family: (stride, image of x^(stride k)), the
+# image given the ring, k, the family spec and W.
+_ORACLES = {
+    "thm1": (4, lambda ring, k, spec, W: thm1_monomial_step(
+        ring, k, spec.shape("g"), ring.param("A6"), ring.param("A2"))),
+    "thm2": (2, lambda ring, k, spec, W: thm2_monomial_step(
+        ring, k, spec.shape("g"), ring.param("A4"), ring.param("A2"), ring.param("A0"))),
+    "thm3": (1, lambda ring, k, spec, W: thm3_monomial_step(
+        ring, k, spec.shape("n"), ring.param("A"), W.coefficient(spec.shape("n") - 2))),
+}
 
 
 def _run_oracle_check(job: JobSpec) -> tuple[int, dict]:
-    kind = job.family.kind
+    spec = job.family
+    kind = spec.kind
     lo, hi = job.k_range
     if lo < 0:
         raise CliInputError("--k-range must start at 0 or above")
-    if kind in ("thm1", "thm2"):
-        if job.g is None or job.g < 1:
-            raise CliInputError(f"oracle-check {kind} needs --g >= 1")
-        spec = FamilySpec(kind, {"g": job.g})
-    else:
-        if job.n is None or job.n <= 3:
-            raise CliInputError("oracle-check thm3 needs --n > 3")
+    shape_keys = FAMILIES[kind].shape_keys
+    g, n = spec.shape("g"), spec.shape("n")
+    if "g" in shape_keys and (g is None or g < 1):
+        raise CliInputError(f"oracle-check {kind} needs --g >= 1")
+    if "n" in shape_keys and (n is None or n <= 3):
+        raise CliInputError(f"oracle-check {kind} needs --n > 3")
+    parameters = dict(spec.parameters)
+    if "m" in shape_keys:
         # B is irrelevant to a single rung input; fix the admissible m=1 form.
-        spec = FamilySpec(kind, {"n": job.n, "m": 1})
-    ring, V, W = build_family(spec)
+        parameters["m"] = 1
+    ring, V, W = build_family(FamilySpec(kind, parameters))
     ring2 = ring.extend((STEP_CONSTANT,))
     V = V.lift(ring2)
     W = W.lift(ring2)
-    stride = _ORACLE_STRIDE[kind]
+    stride, closed_form = _ORACLES[kind]
     rows = []
     all_agree = True
     for k in range(lo, hi + 1):
         power = stride * k
         got = recursion_step(XPoly.monomial(ring2, power), V, W, STEP_CONSTANT)
-        if kind == "thm1":
-            want = thm1_monomial_step(ring2, k, job.g, ring2.param("A6"), ring2.param("A2"))
-        elif kind == "thm2":
-            want = thm2_monomial_step(
-                ring2, k, job.g, ring2.param("A4"), ring2.param("A2"), ring2.param("A0")
-            )
-        else:
-            b = W.coefficient(job.n - 2)
-            want = thm3_monomial_step(ring2, power, job.n, ring2.param("A"), b)
+        want = closed_form(ring2, k, spec, W)
         agree = got == want
         all_agree = all_agree and agree
         rows.append(
@@ -617,8 +603,8 @@ def _run_oracle_check(job: JobSpec) -> tuple[int, dict]:
         "command": "oracle-check",
         "inputs": {
             "family": kind,
-            "g": job.g,
-            "n": job.n,
+            "g": g,
+            "n": n,
             "k_range": list(job.k_range),
         },
         "result": {"rows": rows, "all_agree": all_agree},

@@ -15,6 +15,9 @@ may stay symbolic or be bound to rationals:
   * ``dixmier_rank2`` / ``dixmier_rank3``: the two classical commuting pairs
     built from D^2 + x^3 + alpha and D^3 + x^2 + alpha.
 
+``FAMILIES`` gives each kind's coefficient symbols and the shape keys it
+takes; a spec with a key outside its kind's entry is refused.
+
 Closed-form single-monomial images of the chain recursion are provided for
 the first three families as independent oracles; they drop pure constants
 (absorbed by the integration constant, matching the zero-constant
@@ -26,13 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .scalars import ParamRing, ParamScalar, RatLike
 from .weyl import DiffOp, XPoly
 from .curve import SpectralCurve, solve_pair
-
-KINDS = ("thm1", "thm2", "thm3", "mironov_x3", "dixmier_rank2", "dixmier_rank3")
 
 # The graded families: V's (power, symbol) terms in declaration order, and
 # W = scale g (g+1) S x^power with S the first symbol, which must be nonzero.
@@ -42,19 +43,31 @@ _GRADED = {
     "mironov_x3": (((3, "A3"), (2, "A2"), (1, "A1"), (0, "A0")), 1, 1),
 }
 
-# Symbol names each family may use, in declaration order.
-_FAMILY_SYMBOLS = {
-    **{kind: tuple(name for _, name in v_terms) for kind, (v_terms, _, _) in _GRADED.items()},
-    "thm3": ("A",),
-    "dixmier_rank2": ("alpha",),
-    "dixmier_rank3": ("alpha",),
+
+# What a named family takes: its coefficient symbols, in declaration order,
+# and its shape keys.
+Family = NamedTuple("Family", [("symbols", tuple), ("shape_keys", tuple)])
+
+
+def _graded(kind: str) -> Family:
+    return Family(tuple(name for _, name in _GRADED[kind][0]), ("g",))
+
+
+FAMILIES = {
+    "thm1": _graded("thm1"),
+    "thm2": _graded("thm2"),
+    "thm3": Family(("A",), ("n", "k", "m", "b_mult", "b_over_a")),
+    "mironov_x3": _graded("mironov_x3"),
+    "dixmier_rank2": Family(("alpha",), ()),
+    "dixmier_rank3": Family(("alpha",), ()),
 }
+KINDS = tuple(FAMILIES)
+
+# The coefficient symbols of all families together.
+COEFFICIENT_SYMBOLS = frozenset(name for family in FAMILIES.values() for name in family.symbols)
 
 # The classical commuting pairs, by family kind, with their rank.
 PAIR_RANKS = {"dixmier_rank2": 2, "dixmier_rank3": 3}
-
-_INT_KEYS = {"g", "n", "k", "m", "b_mult"}
-_EXTRA_KEYS = {"b_over_a"} | _INT_KEYS
 
 
 class FamilySpecError(ValueError):
@@ -65,20 +78,19 @@ class FamilySpecError(ValueError):
 class FamilySpec:
     """A family kind plus its parameters.
 
-    ``parameters`` holds the shape parameters (g for the graded families;
-    n, k, and m or b_over_a for the monomial family, where m fixes
-    B = (n-2)^2 m(m+1) A) together with optional rational bindings for the
-    coefficient symbols listed above.  Unbound symbols stay symbolic.
-    ``b_mult`` is accepted as an alias for m.
+    ``parameters`` holds the shape keys of the kind's ``FAMILIES`` entry (for
+    thm3, give one of m, b_mult and b_over_a: m fixes B = (n-2)^2 m(m+1) A and
+    b_mult is an alias for m) together with optional rational bindings for
+    its coefficient symbols.  Unbound symbols stay symbolic.
     """
 
     kind: str
     parameters: dict = field(default_factory=dict)
 
     def symbol_bindings(self) -> dict[str, Fraction]:
-        symbols = _FAMILY_SYMBOLS.get(self.kind, ())
+        family = FAMILIES.get(self.kind)
         out = {}
-        for name in symbols:
+        for name in family.symbols if family else ():
             if name in self.parameters:
                 out[name] = Fraction(self.parameters[name])
         return out
@@ -88,26 +100,26 @@ class FamilySpec:
 
 
 def _validate(spec: FamilySpec) -> None:
-    if spec.kind not in KINDS:
+    if spec.kind not in FAMILIES:
         raise FamilySpecError(f"unknown family kind {spec.kind!r}; known: {', '.join(KINDS)}")
-    symbols = set(_FAMILY_SYMBOLS[spec.kind])
-    for key in spec.parameters:
-        if key in symbols or key in _EXTRA_KEYS:
+    family = FAMILIES[spec.kind]
+    for key, value in spec.parameters.items():
+        if key in family.symbols:
             continue
-        raise FamilySpecError(f"family {spec.kind!r} does not accept parameter {key!r}")
-    for key in _INT_KEYS & spec.parameters.keys():
-        value = spec.parameters[key]
-        if not isinstance(value, int):
+        if key not in family.shape_keys:
+            raise FamilySpecError(f"family {spec.kind!r} does not accept parameter {key!r}")
+        # b_over_a is a rational; every other shape key counts something
+        if key != "b_over_a" and not isinstance(value, int):
             raise FamilySpecError(f"parameter {key!r} must be an integer, got {value!r}")
 
 
 def _ring_for(spec: FamilySpec) -> tuple[ParamRing, dict[str, ParamScalar]]:
     """Ring containing the family's unbound symbols, plus a value per symbol."""
     bindings = spec.symbol_bindings()
-    names = [n for n in _FAMILY_SYMBOLS[spec.kind] if n not in bindings]
-    ring = ParamRing(tuple(names))
+    symbols = FAMILIES[spec.kind].symbols
+    ring = ParamRing(tuple(n for n in symbols if n not in bindings))
     values = {}
-    for name in _FAMILY_SYMBOLS[spec.kind]:
+    for name in symbols:
         if name in bindings:
             values[name] = ring.const(bindings[name])
         else:
@@ -153,10 +165,10 @@ def build_family(spec: FamilySpec) -> tuple[ParamRing, XPoly, XPoly]:
         k = spec.shape("k", n - 2)
         if not isinstance(k, int) or k < 0:
             raise FamilySpecError("parameter k must be a nonnegative integer")
+        if sum(key in spec.parameters for key in ("m", "b_mult", "b_over_a")) > 1:
+            raise FamilySpecError("give at most one of m, b_mult and b_over_a")
         b_mult = spec.shape("m", spec.shape("b_mult"))
         b_over_a = spec.shape("b_over_a")
-        if b_mult is not None and b_over_a is not None:
-            raise FamilySpecError("give at most one of m and b_over_a")
         if b_mult is not None:
             if b_mult < 1:
                 raise FamilySpecError("m must be a positive integer")
@@ -188,6 +200,15 @@ def _as_scalar(ring: ParamRing, value) -> ParamScalar:
     return ring.const(value)
 
 
+def _step_image(ring: ParamRing, terms) -> XPoly:
+    """C plus the (power, coefficient) terms of positive power; C absorbs the rest."""
+    out = XPoly.const(ring, ring.param(STEP_CONSTANT))
+    for power, coeff in terms:
+        if power >= 1 and not coeff.is_zero():
+            out = out + XPoly.monomial(ring, power, coeff)
+    return out
+
+
 def thm1_monomial_step(ring: ParamRing, k: int, g: int, a6, a2) -> XPoly:
     """Image of x^(4k) under one chain rung for the x^6 family.
 
@@ -199,16 +220,11 @@ def thm1_monomial_step(ring: ParamRing, k: int, g: int, a6, a2) -> XPoly:
         raise ValueError("k must be >= 0")
     a6 = _as_scalar(ring, a6)
     a2 = _as_scalar(ring, a2)
-    out = XPoly.const(ring, ring.param(STEP_CONSTANT))
-    terms = [
+    return _step_image(ring, [
         (4 * k - 4, ring.const(-k * (4 * k - 1) * (4 * k - 2) * (4 * k - 3))),
         (4 * k, -16 * k * k * a2),
         (4 * k + 4, 8 * Fraction(2 * k + 1, k + 1) * (g - k) * (g + k + 1) * a6),
-    ]
-    for power, coeff in terms:
-        if power >= 1 and not coeff.is_zero():
-            out = out + XPoly.monomial(ring, power, coeff)
-    return out
+    ])
 
 
 def thm2_monomial_step(ring: ParamRing, k: int, g: int, a4, a2, a0) -> XPoly:
@@ -223,17 +239,12 @@ def thm2_monomial_step(ring: ParamRing, k: int, g: int, a4, a2, a0) -> XPoly:
     a4 = _as_scalar(ring, a4)
     a2 = _as_scalar(ring, a2)
     a0 = _as_scalar(ring, a0)
-    out = XPoly.const(ring, ring.param(STEP_CONSTANT))
-    terms = [
+    return _step_image(ring, [
         (2 * k - 4, ring.const(-k * (2 * k - 1) * (k - 1) * (2 * k - 3))),
         (2 * k - 2, -2 * k * (2 * k - 1) * a0),
         (2 * k, -4 * k * k * a2),
         (2 * k + 2, 2 * Fraction(2 * k + 1, k + 1) * (g - k) * (g + k + 1) * a4),
-    ]
-    for power, coeff in terms:
-        if power >= 1 and not coeff.is_zero():
-            out = out + XPoly.monomial(ring, power, coeff)
-    return out
+    ])
 
 
 def thm3_monomial_step(ring: ParamRing, k: int, n: int, a, b) -> XPoly:
@@ -249,13 +260,9 @@ def thm3_monomial_step(ring: ParamRing, k: int, n: int, a, b) -> XPoly:
         raise ValueError("n must be > 3")
     a = _as_scalar(ring, a)
     b = _as_scalar(ring, b)
-    out = XPoly.const(ring, ring.param(STEP_CONSTANT))
     low = Fraction(-k * (k - 1) * (k - 2) * (k - 3), 4)
     high = Fraction(n + 2 * k - 2, 2 * (n + k - 2)) * (b - k * (n + k - 2) * a)
-    for power, coeff in ((k - 4, ring.const(low)), (n + k - 2, high)):
-        if power >= 1 and not coeff.is_zero():
-            out = out + XPoly.monomial(ring, power, coeff)
-    return out
+    return _step_image(ring, [(k - 4, ring.const(low)), (n + k - 2, high)])
 
 
 def thm3_admissible_B(n: int, a: RatLike, b: RatLike) -> int | None:
@@ -396,6 +403,14 @@ def attempt_degrees(
     return tuple(rows)
 
 
+def probe_degrees(m: int | None, g_bound: int) -> list[int]:
+    """The degrees a verdict probes: [m] if m is given, else 1..g_bound."""
+    degrees = [m] if m is not None else list(range(1, g_bound + 1))
+    if not degrees:
+        raise FamilySpecError(f"g_bound {g_bound} leaves no degree to probe; it must be >= 1")
+    return degrees
+
+
 def run_family_verdict(
     spec: FamilySpec,
     m: int | None = None,
@@ -411,10 +426,10 @@ def run_family_verdict(
     _validate(spec)
     if spec.kind in PAIR_RANKS:
         L, M = family_pair(spec)
-        alpha = spec.parameters.get("alpha")
         commutes = L.commutator(M).is_zero()
         ring = L.ring
-        a = ring.const(alpha) if alpha is not None else ring.param("alpha")
+        # the pair's own alpha: its ring's parameter, else the bound value
+        a = ring.param("alpha") if "alpha" in ring.names else ring.const(spec.parameters["alpha"])
         gap = M * M - L**3 + DiffOp(ring, [XPoly.const(ring, a)])
         identities = {
             "commutes": commutes,
@@ -426,12 +441,10 @@ def run_family_verdict(
             identities=identities,
             verified=all(identities.values()),
         )
-    if spec.kind == "thm3":
-        degrees = [m] if m is not None else list(range(1, g_bound + 1))
-    else:
+    if "g" in FAMILIES[spec.kind].shape_keys:
         degrees = [m if m is not None else _require_g(spec)]
-    if not degrees:
-        raise FamilySpecError(f"g_bound {g_bound} leaves no degree to probe; it must be >= 1")
+    else:
+        degrees = probe_degrees(m, g_bound)
     ring, V, W = build_family(spec)
     rows = attempt_degrees(V, W, [(d, expected_feasible(spec, d)) for d in degrees])
     return FamilyVerdict(

@@ -321,6 +321,27 @@ def test_oracle_check_thm3(capsys):
     assert "oracle-check thm3 needs --n > 3" in err
 
 
+@pytest.mark.parametrize(
+    "argv, kind, key",
+    [
+        (["curve", "--family", "thm1", "--g", "1", "--n", "9", "--k", "2", "--b-over-a", "3"],
+         "thm1", "n"),
+        (["verdict", "--family", "thm3", "--n", "5", "--b-mult", "1", "--g", "2"], "thm3", "g"),
+        (["verdict", "--family", "dixmier_rank2", "--g", "3", "--n", "4"], "dixmier_rank2", "g"),
+        (["scan", "--family", "thm3", "--n", "5", "--b-mult", "1", "--m-range", "1:2",
+          "--g-range", "2:3"], "thm3", "g"),
+        (["oracle-check", "--family", "thm3", "--n", "5", "--g", "2"], "thm3", "g"),
+        (["oracle-check", "--family", "thm1", "--g", "2", "--n", "5"], "thm1", "n"),
+    ],
+    ids=["curve-thm1-n", "verdict-thm3-g", "verdict-dixmier_rank2-g", "scan-thm3-g",
+         "oracle-check-thm3-g", "oracle-check-thm1-n"],
+)
+def test_family_refuses_a_foreign_shape_flag(argv, kind, key, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: family '{kind}' does not accept parameter '{key}'\n"
+
+
 def test_input_errors_exit_2(capsys, tmp_path):
     # malformed expression: position is reported
     code, _, err = run_cli(

@@ -214,6 +214,17 @@ def test_structure_examples():
     assert len(squarefree) == 1 and squarefree[0][1] == 1
 
 
+def test_structure_of_a_constant_curve_is_empty():
+    assert curve_structure(SpectralCurve(ParamRing(()), [1])) == ()
+
+
+def test_certificate_display():
+    _, _, Q, _ = solved_family("thm1", {"g": 1}, 1)
+    assert str(Q) == "z + (16*A6*x^4 + 16*A2)"
+    _, _, Q, _ = solved_family("thm3", {"n": 5, "m": 1}, 1)
+    assert str(Q) == "z + (9*A*x^3)"
+
+
 def test_structure_symbolic_square():
     _, _, _, curve = solved_family("thm1", {"g": 1}, 3)
     ring = curve.ring

@@ -71,6 +71,27 @@ def test_build_family_validation():
         build_family(FamilySpec("dixmier_rank3", {}))  # no square form exists
 
 
+@pytest.mark.parametrize(
+    "kind, parameters, key",
+    [
+        ("thm1", {"g": 1, "n": 9}, "n"),
+        ("thm3", {"n": 5, "m": 1, "g": 2}, "g"),
+        ("dixmier_rank2", {"g": 3}, "g"),
+    ],
+    ids=["thm1-n", "thm3-g", "dixmier_rank2-g"],
+)
+def test_family_refuses_a_shape_key_it_never_uses(kind, parameters, key):
+    message = f"family '{kind}' does not accept parameter '{key}'"
+    with pytest.raises(FamilySpecError, match=message):
+        run_family_verdict(FamilySpec(kind, parameters))
+
+
+def test_thm3_takes_at_most_one_b_choice():
+    for choice in ({"m": 1, "b_mult": 2}, {"b_mult": 1, "b_over_a": 18}, {"m": 1, "b_over_a": 18}):
+        with pytest.raises(FamilySpecError, match="give at most one of m, b_mult and b_over_a"):
+            build_family(FamilySpec("thm3", {"n": 5, **choice}))
+
+
 def test_monomial_step_constant_input():
     # x^0 is the start of every chain: the image is W/2 + C
     ring = ParamRing(("A6", "A2", "C"))
