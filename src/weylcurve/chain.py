@@ -7,11 +7,15 @@ depending on x, satisfying
     Q''''' + 4 V Q''' + 6 V' Q'' + 2 Q' (2z - 2W + V'') - 2 Q W' = 0,
 
 where primes are x-derivatives and z enters as a formal spectral variable.
+Its left side is E(Q) + 4 z Q' for the fifth-order operator
+
+    E = D^5 + 4 V D^3 + 6 V' D^2 + 2 (V'' - 2W) D - 2 W',
+
+so its z^k coefficient is R_k = E(q_k) + 4 q_(k-1)', q_k that of Q.
 Matching powers of z turns this into a chain: a_1 = W/2 + C_1 and
 a_{i+1} = T(a_i) + C_{i+1}, with integration constants C_i and the linear map
 
-    T(a) = 1/4 * Integral(-a''''' - 4 V a''' - 6 V' a'' - 2 a' V''
-                          + 2 a W' + 4 a' W) dx   (zero constant term).
+    T(a) = -1/4 * Integral E(a) dx   (zero constant term).
 
 As T(1) = (W - W(0))/2, each a_i = u_{i-1} + sum_{j<=i} C_j v_{i-j} for one
 sequence over the parameter ring, the stationary Lenard (Gelfand-Dickey)
@@ -32,7 +36,7 @@ from functools import cached_property
 from typing import Mapping
 
 from .scalars import ParamPoly, ParamRing, ParamScalar, RatLike
-from .weyl import XPoly, _Dense, _xpoly_entry, dense_mul, xpoly_integrate
+from .weyl import DiffOp, XPoly, _Dense, _xpoly_entry, dense_mul, xpoly_integrate
 
 
 class ChainError(ValueError):
@@ -63,27 +67,24 @@ class QPoly(_Dense):
         return False, z_part if c == 1 else f"({c})*{z_part}"
 
 
+def eq2_operator(V: XPoly, W: XPoly) -> DiffOp:
+    """E = D^5 + 4V D^3 + 6V' D^2 + 2(V'' - 2W) D - 2W'; integral when V and W are."""
+    return DiffOp._raw(V.ring, [
+        W.derivative().scale(-2), (V.derivative(2) - W.scale(2)).scale(2),
+        V.derivative().scale(6), V.scale(4), XPoly.zero(V.ring), XPoly.const(V.ring, 1),
+    ])
+
+
 def recursion_step(a: XPoly, V: XPoly, W: XPoly, constant) -> XPoly:
-    """One rung of the chain: a_i -> a_{i+1} = T(a_i) + constant.
+    """One rung of the chain: a_i -> a_{i+1} = T(a_i) + constant, T(a) = -1/4 Integral E(a) dx.
 
     `constant` is the integration constant: a scalar-like value or the name
     of a ring parameter.  The antiderivative itself is taken with zero
     constant term, so the produced polynomial has `constant` as its exact
     x-free part whenever the integrand has no 1/x obstruction (the integrand
-    of a closing chain never does).  The 1/4 goes into the small V and W
-    factors, and a', a'', a''' and a^(5) are each built once.
+    of a closing chain never does).  E is ``eq2_operator(V, W)``.
     """
-    d1 = a.derivative()
-    d2 = d1.derivative()
-    d3 = d2.derivative()
-    integrand = (
-        (W - V.derivative(2).scale(Fraction(1, 2))) * d1
-        - V * d3
-        - V.derivative().scale(Fraction(3, 2)) * d2
-        + W.derivative().scale(Fraction(1, 2)) * a
-        - d3.derivative(2).scale(Fraction(1, 4))
-    )
-    return xpoly_integrate(integrand, constant)
+    return xpoly_integrate(eq2_operator(V, W).apply(a).scale(Fraction(-1, 4)), constant)
 
 
 @dataclass(frozen=True)
@@ -366,26 +367,11 @@ def residual_eq2(Q: QPoly, V: XPoly, W: XPoly) -> QPoly:
 
     It is linear in Q = sum_k a_k z^k: the z^k coefficient is
 
-        a_k''''' + 4 V a_k''' + 6 V' a_k'' + 2 (V'' - 2 W) a_k' - 2 W' a_k
-        + 4 a_(k-1)',
+        R_k = E(a_k) + 4 a_(k-1)',   E = ``eq2_operator(V, W)``,
 
-    four x-products per coefficient against the sparse V and W terms.
+    with E built once and applied to each a_k by ``DiffOp.apply``.
     """
     ring = Q.ring
-    V = V.lift(ring)
-    W = W.lift(ring)
-    four_v = V.scale(4)
-    six_dv = V.derivative().scale(6)
-    first = (V.derivative(2) - W.scale(2)).scale(2)
-    zeroth = W.derivative().scale(-2)
-    out = []
-    below = XPoly.zero(ring)  # 4 a_(k-1)'
-    for a in Q.coeffs + (XPoly.zero(ring),):
-        d1 = a.derivative()
-        d2 = d1.derivative()
-        d3 = d2.derivative()
-        out.append(
-            d3.derivative(2) + four_v * d3 + six_dv * d2 + first * d1 + zeroth * a + below
-        )
-        below = d1.scale(4)
-    return QPoly._raw(ring, out)
+    E = eq2_operator(V.lift(ring), W.lift(ring))
+    a = (XPoly.zero(ring),) + Q.coeffs + (XPoly.zero(ring),)  # a_(-1) = 0 and a_(m+1) = 0
+    return QPoly._raw(ring, [E.apply(hi) + lo.derivative().scale(4) for lo, hi in zip(a, a[1:])])

@@ -154,7 +154,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     common(p)
     p.add_argument("--m", type=int, help="single chain degree to try")
-    p.add_argument("--g-bound", type=int, default=4, help="degrees 1..bound for thm3 (default 4)")
+    p.add_argument("--g-bound", type=int, help="degrees 1..bound for thm3 (default 4)")
 
     p = sub.add_parser("commutator", help="compose two operators and report [L, M]")
     common(p)
@@ -191,7 +191,8 @@ def job_from_args(args: argparse.Namespace) -> JobSpec:
         _parse_binding(b) for b in getattr(args, "free_const", []) or []
     )
     job.m = getattr(args, "m", None)
-    job.g_bound = getattr(args, "g_bound", 4)
+    g_bound = getattr(args, "g_bound", None)  # None unless given
+    job.g_bound = 4 if g_bound is None else g_bound
     if getattr(args, "g_range", None):
         job.g_range = _parse_range(args.g_range, "--g-range")
     if getattr(args, "m_range", None):
@@ -199,8 +200,21 @@ def job_from_args(args: argparse.Namespace) -> JobSpec:
     if getattr(args, "k_range", None):
         job.k_range = _parse_range(args.k_range, "--k-range")
 
+    # explicit potential pair, inline or in a JSON document; a named family refuses it
+    v_text = getattr(args, "v_text", None)
+    w_text = getattr(args, "w_text", None)
+    l_text = getattr(args, "l_text", None)
+    m_text = getattr(args, "m_text", None)
+    params_text = getattr(args, "params", None)
     family_kind = getattr(args, "family", None)
     if family_kind is not None:
+        given = [flag for flag, text in zip(("--V", "--W", "--L", "--M", "--params"),
+                 (v_text, w_text, l_text, m_text, params_text)) if text is not None]
+        if given:
+            raise CliInputError(f"{', '.join(given)} cannot be combined with --family")
+        if job.command == "verdict" and family_kind in PAIR_RANKS:
+            if job.m is not None or g_bound is not None:  # an identity check probes no degree
+                raise CliInputError(f"verdict on {family_kind} takes neither --m nor --g-bound")
         parameters: dict = {}
         for key in ("g", "n", "k", "b_mult", "b_over_a"):
             value = getattr(args, key, None)
@@ -215,12 +229,6 @@ def job_from_args(args: argparse.Namespace) -> JobSpec:
         job.family = FamilySpec(family_kind, parameters)
         return job
 
-    # explicit potential pair: inline flags or a JSON document
-    v_text = getattr(args, "v_text", None)
-    w_text = getattr(args, "w_text", None)
-    l_text = getattr(args, "l_text", None)
-    m_text = getattr(args, "m_text", None)
-    params_text = getattr(args, "params", None)
     inline = any(t is not None for t in (v_text, w_text, l_text, m_text))
     if inline:
         job.params = _split_params(params_text)

@@ -840,7 +840,9 @@ class ParamScalar(_Subtraction):
         return other / self
 
     def _scale(self, factor: RatLike) -> "ParamScalar":
-        """self * factor for a nonzero int or Fraction: one product per term."""
+        """self * factor for a nonzero int or Fraction: one product per term, none for zero."""
+        if not self.num.terms:
+            return self
         terms = _times(self.num.terms, _coefficient(factor))
         return ParamScalar._raw(ParamPoly._raw(self.ring, terms), self.den)
 
@@ -878,7 +880,7 @@ class ParamScalar(_Subtraction):
         return hash((self.num, self.den))
 
     def __bool__(self) -> bool:
-        return not self.num.is_zero()
+        return bool(self.num.terms)
 
     def __str__(self) -> str:
         if self.den.is_one():

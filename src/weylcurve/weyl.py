@@ -25,16 +25,16 @@ Weyl algebra
 
     (x^p D^i)(x^q D^j) = sum_{k=0}^{min(i,q)} C(i,k) q!/(q-k)! x^(p+q-k) D^(i+j-k),
 
-so each pair of nonzero terms costs one product of parameter polynomials.
-Both products run on the terms dicts of the coefficient numerators and build
-scalar objects once, at the end.  The term arithmetic is the kernels of
-``scalars.py`` (``_mul_into``, ``_add_into``, ``_poly``); this module keeps
-only the bookkeeping of x-powers and D-orders.  A coefficient with a
-denominator other than 1 is handled by clearing denominators: the parameters
-are constants for D, so with N/d the coefficients of an operand over their lcm
-d, (N_L/d_L)(N_R/d_R) = (N_L N_R)/(d_L d_R), and each result coefficient is
-then reduced by ``ParamScalar``.  Degrees and orders use None for the zero
-element.
+so each pair of nonzero terms costs one product of parameter polynomials; its
+k = i, j = 0 term is x^p D^i applied to x^q, which ``DiffOp.apply`` sums.  The
+products and ``apply`` run on the terms dicts of the coefficient numerators and
+build scalar objects once, at the end, through the kernels of ``scalars.py``
+(``_mul_into``, ``_add_into``, ``_poly``); this module keeps only the
+bookkeeping of x-powers and D-orders.  A denominator other than 1 is handled by
+clearing denominators: the parameters are constants for D, so with N/d the
+coefficients of an operand over their lcm d, (N_L/d_L)(N_R/d_R) =
+(N_L N_R)/(d_L d_R), and each result coefficient is then reduced by
+``ParamScalar``.  Degrees and orders use None for the zero element.
 """
 
 from __future__ import annotations
@@ -56,13 +56,14 @@ from .scalars import (
     _mul_into,
     _poly,
     _same_rings,
+    _times,
 )
 
 
 def dense_add(a, b) -> list:
-    """Sum of two coefficient sequences, ascending in the variable; untrimmed."""
+    """Sum of two coefficient sequences, ascending; untrimmed; a zero side keeps the other."""
     n = min(len(a), len(b))
-    return [x + y for x, y in zip(a, b)] + list(a[n:]) + list(b[n:])
+    return [x + y if x and y else x or y for x, y in zip(a, b)] + list(a[n:]) + list(b[n:])
 
 
 def dense_mul(a, b, zero) -> list:
@@ -172,7 +173,7 @@ class _Dense(_Subtraction):
     __radd__ = __add__
 
     def __neg__(self):
-        return self._raw(self.ring, [-c for c in self.coeffs])
+        return self._raw(self.ring, [-c if c else c for c in self.coeffs])
 
     def lift(self, ring: ParamRing):
         if ring == self.ring:
@@ -410,6 +411,9 @@ class DiffOp(_Dense):
         out: dict[tuple[int, int], dict] = {}
         for (i, p), ta in zip(lkeys, left):
             for (j, q), tb in right:
+                if not i or not q:  # only k = 0, whose factor is 1
+                    _mul_into(out.setdefault((i + j, p + q), {}), ta, tb)
+                    continue
                 prod: dict = {}
                 _mul_into(prod, ta, tb)
                 for k in range(min(i, q) + 1):
@@ -450,12 +454,22 @@ class DiffOp(_Dense):
         return self * other - other * self
 
     def apply(self, p: XPoly) -> XPoly:
-        """Apply the operator to a polynomial in x."""
-        out = XPoly.zero(self.ring)
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                out = out + c * p.derivative(i)
-        return out
+        """The operator applied to p: (c x^s D^i) x^q = c q!/(q-i)! x^(s+q-i), summed per power."""
+        ring = self.ring
+        _same_rings(ring, p.ring)
+        keys, scalars = _terms_of(self)
+        (left, dl), (right, dr) = _cleared(ring, scalars), _cleared(ring, p.coeffs)
+        derivs: dict[int, list] = {}  # D-order i -> [(q - i, terms of q!/(q-i)! [x^q] p)]
+        accs = [{} for _ in range(len(right) + max((s for _, s in keys), default=0))]
+        # high D-orders, whose scaled terms are mostly ints, first: Fraction sums start late
+        for (i, s), ta in zip(keys[::-1], left[::-1]):
+            if i not in derivs:
+                derivs[i] = [(q - i, _times(dict(tb), perm(q, i)).items() if i else tb)
+                             for q, tb in enumerate(right[i:], i) if tb]
+            for r, tb in derivs[i]:
+                _mul_into(accs[s + r], ta, tb)
+        den, zero = _product_den(dl, dr), ring.zero()
+        return XPoly._raw(ring, [_scalar(ring, acc, den) if acc else zero for acc in accs])
 
     def substitute_params(self, bindings: Mapping[str, "RatLike | ParamScalar"]) -> "DiffOp":
         return DiffOp._raw(self.ring, [c.substitute_params(bindings) for c in self.coeffs])

@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from weylcurve import (
+    DiffOp,
     FamilySpec,
     ParamRing,
     QPoly,
@@ -66,3 +67,12 @@ def times_z(Q: QPoly) -> QPoly:
 def dx(Q: QPoly, order: int = 1) -> QPoly:
     """Derivative of Q in x, coefficientwise."""
     return QPoly(Q.ring, [c.derivative(order) for c in Q.coeffs])
+
+
+def apply_reference(op: DiffOp, p: XPoly) -> XPoly:
+    """sum_i c_i * p^(i) through XPoly derivative, product and sum: DiffOp.apply's reference."""
+    out = XPoly.zero(op.ring)
+    for i, c in enumerate(op.coeffs):
+        if not c.is_zero():
+            out = out + c * p.derivative(i)
+    return out

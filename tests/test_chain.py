@@ -22,7 +22,7 @@ from weylcurve import (
     residual_eq2,
     solve_constants,
 )
-from weylcurve.chain import QPoly
+from weylcurve.chain import QPoly, eq2_operator
 from weylcurve.parsing import parse_scalar
 
 from support import family_chain, q_z, solved_family
@@ -321,6 +321,18 @@ def test_rederivation_identity():
             - 4 * a.derivative() * W
         )
         assert total.is_zero()
+
+
+@pytest.mark.parametrize("kind", ["thm1", "thm2", "mironov_x3"])
+def test_rung_is_minus_a_quarter_of_the_integral_of_e(kind):
+    # T(a)' = -E(a)/4 on each graded family's sequence and on monomials, with
+    # E integral as V and W are
+    chain = family_chain(kind, {"g": 3}, 3)
+    V, W = chain.V, chain.W
+    E = eq2_operator(V, W)
+    assert all(type(c) is int for e in E.coeffs for s in e.coeffs for c in s.num.terms.values())
+    for a in chain.u + chain.v + tuple(XPoly.monomial(V.ring, k) for k in range(8)):
+        assert recursion_step(a, V, W, 0).derivative() == E.apply(a).scale(Fraction(-1, 4))
 
 
 def test_criterion_equivalence_via_telescoping():

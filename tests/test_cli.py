@@ -342,6 +342,50 @@ def test_family_refuses_a_foreign_shape_flag(argv, kind, key, capsys):
     assert err == f"error: family '{kind}' does not accept parameter '{key}'\n"
 
 
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["curve", "--family", "thm1", "--g", "1", "--V", "x^2", "--W", "x", "--params", "A"],
+         "--V, --W, --params"),
+        (["verdict", "--family", "thm2", "--g", "2", "--W", "x"], "--W"),
+        (["commutator", "--family", "dixmier_rank2", "--L", "D", "--M", "x"], "--L, --M"),
+        (["chain", "--family", "thm1", "--g", "2", "--params", "A"], "--params"),
+    ],
+    ids=["curve-V-W-params", "verdict-W", "commutator-L-M", "chain-params"],
+)
+def test_family_refuses_explicit_pair_flags(argv, flags, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {flags} cannot be combined with --family\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verdict", "--family", "dixmier_rank2", "--m", "3", "--g-bound", "9"],
+        ["verdict", "--family", "dixmier_rank2", "--m", "1"],
+        ["verdict", "--family", "dixmier_rank3", "--g-bound", "4"],
+    ],
+    ids=["rank2-m-g-bound", "rank2-m", "rank3-g-bound"],
+)
+def test_classical_pair_verdict_refuses_a_degree(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: verdict on {argv[2]} takes neither --m nor --g-bound\n"
+
+
+def test_classical_pair_verdict_echoes_the_default_degree(capsys):
+    # without --m and --g-bound the report still echoes m = null and g_bound = 4,
+    # and --m keeps its meaning for the chain of a classical pair
+    code, out, _ = run_cli(["verdict", "--family", "dixmier_rank2"], capsys)
+    assert code == 0
+    assert json.loads(out)["inputs"] == {
+        "family": "dixmier_rank2", "parameters": {}, "m": None, "g_bound": 4
+    }
+    code, _, _ = run_cli(["chain", "--family", "dixmier_rank2", "--m", "2"], capsys)
+    assert code == 0
+
+
 def test_input_errors_exit_2(capsys, tmp_path):
     # malformed expression: position is reported
     code, _, err = run_cli(

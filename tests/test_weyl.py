@@ -22,6 +22,8 @@ from weylcurve import (
     xpoly_integrate,
 )
 
+from support import apply_reference
+
 
 def _xops(ring):
     return XPoly.x(ring), DiffOp.d(ring)
@@ -317,6 +319,22 @@ def test_commutator_jacobi(a, b, c):
         + c.commutator(a.commutator(b))
     )
     assert total.is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ops(),
+    xpolys(6),
+    st.lists(st.fractions(max_denominator=9), max_size=6),
+    st.lists(st.fractions(max_denominator=9), max_size=8),
+)
+def test_apply_matches_reference(op, p, qop, qp):
+    # over Q(A2, B2) with rational coefficients and parameter denominators, and over Q
+    rational_op = DiffOp(_Q, [XPoly(_Q, qop[i:]) for i in range(0, len(qop), 2)])
+    for a, f in ((op, p), (rational_op, XPoly(_Q, qp))):
+        applied, reference = a.apply(f), apply_reference(a, f)
+        assert applied == reference and hash(applied) == hash(reference)
+    assert op.apply(XPoly.zero(_RING)).is_zero() and DiffOp.zero(_RING).apply(p).is_zero()
 
 
 @settings(max_examples=40, deadline=None)
