@@ -182,6 +182,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def job_from_args(args: argparse.Namespace) -> JobSpec:
+    # every run starts here; exact inputs and reports can pass the 4300-digit str limit
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     job = JobSpec(command=args.command)
     job.out = args.out
     job.golden = args.golden
@@ -649,9 +652,6 @@ def render_report(report: dict) -> bytes:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
-    if hasattr(sys, "set_int_max_str_digits"):
-        # exact coefficients can run past the default 4300-digit str limit
-        sys.set_int_max_str_digits(0)
     try:
         job = job_from_args(args)
         code, report = run_job(job)

@@ -198,8 +198,8 @@ def solve_pair(
 # -- singularity analysis in Q[params][z] ------------------------------------
 
 
-def _lift(curve: SpectralCurve) -> ParamPoly:
-    """F times the lcm of its coefficient denominators, z as the last variable."""
+def _lift_gcd(curve: SpectralCurve) -> tuple[ParamPoly, ParamPoly, ParamPoly]:
+    """(f, f', gcd(f, f')), f = F times its denominators' lcm with z the last variable."""
     ring = curve.ring
     zname = "z_"
     while zname in ring:
@@ -208,7 +208,9 @@ def _lift(curve: SpectralCurve) -> ParamPoly:
     for power, num in enumerate(_clear_denominators(ring, curve.coeffs)[0]):
         for exp, coeff in num.terms.items():
             terms[exp + (power,)] = coeff
-    return ParamPoly(ring.extend([zname]), terms)
+    f = ParamPoly(ring.extend([zname]), terms)
+    fp = _dz(f)
+    return f, fp, mpoly_gcd(f, fp)
 
 
 def _dz(p: ParamPoly) -> ParamPoly:
@@ -239,8 +241,7 @@ def curve_is_singular(
         raise UnboundParameterError(
             f"cannot decide singularity with unbound parameters: {', '.join(unbound)}"
         )
-    f = _lift(bound)
-    g = mpoly_gcd(f, _dz(f))
+    g = _lift_gcd(bound)[2]
     if _deg_in_idx(g, -1) == 0:
         return SingularityReport(singular=False, witness=None)
     witness = tuple(c.numeric_value() for c in _monic_coeffs(g, bound.ring))
@@ -264,9 +265,7 @@ def curve_structure(curve: SpectralCurve) -> tuple[tuple[tuple[ParamScalar, ...]
     """
     if curve.degree == 0:
         return ()
-    f = _lift(curve)
-    fp = _dz(f)
-    a0 = mpoly_gcd(f, fp)
+    f, fp, a0 = _lift_gcd(curve)
     if _deg_in_idx(a0, -1) == 0:
         return ((curve.coeffs, 1),)
     b = f.exact_div(a0)

@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple, Sequence
 
-from .scalars import ParamRing, ParamScalar, RatLike
+from .scalars import ParamRing, ParamScalar, RatLike, _coerce_scalar
 from .weyl import DiffOp, XPoly
 from .curve import SpectralCurve, solve_pair
 
@@ -194,12 +194,6 @@ def build_family(spec: FamilySpec) -> tuple[ParamRing, XPoly, XPoly]:
 STEP_CONSTANT = "C"
 
 
-def _as_scalar(ring: ParamRing, value) -> ParamScalar:
-    if isinstance(value, ParamScalar):
-        return value.lift(ring) if value.ring != ring else value
-    return ring.const(value)
-
-
 def _step_image(ring: ParamRing, terms) -> XPoly:
     """C plus the (power, coefficient) terms of positive power; C absorbs the rest."""
     out = XPoly.const(ring, ring.param(STEP_CONSTANT))
@@ -218,8 +212,8 @@ def thm1_monomial_step(ring: ParamRing, k: int, g: int, a6, a2) -> XPoly:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    a6 = _as_scalar(ring, a6)
-    a2 = _as_scalar(ring, a2)
+    a6 = _coerce_scalar(ring, a6)
+    a2 = _coerce_scalar(ring, a2)
     return _step_image(ring, [
         (4 * k - 4, ring.const(-k * (4 * k - 1) * (4 * k - 2) * (4 * k - 3))),
         (4 * k, -16 * k * k * a2),
@@ -236,9 +230,9 @@ def thm2_monomial_step(ring: ParamRing, k: int, g: int, a4, a2, a0) -> XPoly:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    a4 = _as_scalar(ring, a4)
-    a2 = _as_scalar(ring, a2)
-    a0 = _as_scalar(ring, a0)
+    a4 = _coerce_scalar(ring, a4)
+    a2 = _coerce_scalar(ring, a2)
+    a0 = _coerce_scalar(ring, a0)
     return _step_image(ring, [
         (2 * k - 4, ring.const(-k * (2 * k - 1) * (k - 1) * (2 * k - 3))),
         (2 * k - 2, -2 * k * (2 * k - 1) * a0),
@@ -258,8 +252,8 @@ def thm3_monomial_step(ring: ParamRing, k: int, n: int, a, b) -> XPoly:
         raise ValueError("k must be >= 0")
     if n <= 3:
         raise ValueError("n must be > 3")
-    a = _as_scalar(ring, a)
-    b = _as_scalar(ring, b)
+    a = _coerce_scalar(ring, a)
+    b = _coerce_scalar(ring, b)
     low = Fraction(-k * (k - 1) * (k - 2) * (k - 3), 4)
     high = Fraction(n + 2 * k - 2, 2 * (n + k - 2)) * (b - k * (n + k - 2) * a)
     return _step_image(ring, [(k - 4, ring.const(low)), (n + k - 2, high)])

@@ -18,7 +18,8 @@ plus the ``lift`` methods, never by mutation.
 
 Subtraction is written once, in ``_Subtraction``: a value class with
 ``_coerce``, ``__add__`` and ``__neg__`` inherits a - b and b - a from it.
-Both scalar classes here do, and so does ``weyl._Dense``.
+Both scalar classes here do, and so does ``weyl._Dense``.  Powers are written
+once, in ``_Powers``, from ``_coerce`` and ``__mul__``: ``ParamPoly`` and ``weyl.XPoly``.
 """
 
 from __future__ import annotations
@@ -150,6 +151,25 @@ class _Subtraction:
         return other + (-self)
 
 
+class _Powers:
+    """self ** n for an integer n >= 0 from the class's __mul__; n = 0 gives _coerce(1)."""
+
+    __slots__ = ()
+
+    def __pow__(self, power: int):
+        if not isinstance(power, int) or power < 0:
+            raise ValueError(f"power must be a nonnegative integer, got {power!r}")
+        if power == 0:
+            return self._coerce(1)
+        # left to right: square the result, then multiply by the (short) base
+        out = self
+        for bit in bin(power)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
+        return out
+
+
 class ParamRing:
     """Ordered universe of named parameters shared by a family of values.
 
@@ -240,7 +260,7 @@ def _grlex_key(exp: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return (sum(exp), exp)
 
 
-class ParamPoly(_Subtraction):
+class ParamPoly(_Subtraction, _Powers):
     """Multivariate polynomial over Q in the ring's parameters.
 
     ``terms`` maps exponent tuples (one slot per ring name) to nonzero
@@ -374,18 +394,6 @@ class ParamPoly(_Subtraction):
         return _poly(self.ring, acc)
 
     __rmul__ = __mul__
-
-    def __pow__(self, power: int):
-        if not isinstance(power, int) or power < 0:
-            raise ValueError(f"polynomial power must be a nonnegative integer, got {power!r}")
-        out = self.ring.poly_one()
-        base = self
-        while power:
-            if power & 1:
-                out = out * base
-            base = base * base
-            power >>= 1
-        return out
 
     def try_div(self, divisor: "ParamPoly") -> "ParamPoly | None":
         """Exact quotient self/divisor, or None when division is inexact."""
@@ -554,7 +562,7 @@ def _gcd_heu(ring: ParamRing, a: dict, b: dict) -> dict | None:
     a factor in the evaluated variable (z -> xi) turns into integer content.
     """
     if not a or not b:
-        # an evaluation at xi can vanish, but only on the side of larger norm
+        # a zero operand of mpoly_gcd, or an evaluation at xi (on the side of larger norm)
         return a or b
     ca, cb = _int_gcd(*a.values()), _int_gcd(*b.values())
     c = _int_gcd(ca, cb)
@@ -680,20 +688,16 @@ def _gcd_rec(a: ParamPoly, b: ParamPoly) -> ParamPoly:
 def mpoly_gcd(a: ParamPoly, b: ParamPoly) -> ParamPoly:
     """Greatest common divisor, primitive with positive leading coefficient.
 
-    a/gcd and b/gcd are always exact; gcd(0, 0) = 0 and constants behave as
-    units (gcd 1).  A single-term operand gives the monomial of the smallest
-    exponents over both operands.  Otherwise GCDHEU runs on the primitive
-    integer parts, and its answer stands only after it divides both of them
-    exactly; when it gives up, the primitive PRS (_gcd_rec) decides.
+    a/gcd and b/gcd are always exact; gcd(0, b) is b made primitive, so
+    gcd(0, 0) = 0, and constants behave as units (gcd 1).  A single-term
+    operand gives the monomial of the smallest exponents over both operands.
+    Otherwise GCDHEU runs on the primitive integer parts, and its answer
+    stands only after it divides both of them exactly; when it gives up, the
+    primitive PRS (_gcd_rec) decides.
     """
     _same_rings(a.ring, b.ring)
     ring = a.ring
-    if a.is_zero() and b.is_zero():
-        return ring.poly_zero()
-    if a.is_zero():
-        return b.primitive()
-    if b.is_zero():
-        return a.primitive()
+    # kept: _gcd_heu needs primitive() of both, and every gcd of decide has such an operand
     if len(a.terms) == 1 or len(b.terms) == 1:
         low = _low_exp(a.terms.keys() | b.terms.keys())
         return ParamPoly._raw(ring, {low: 1}) if any(low) else ring.poly_one()
@@ -724,6 +728,7 @@ def _same_rings(a: ParamRing, b: ParamRing) -> None:
 
 
 def _coerce_scalar(ring: ParamRing, value) -> "ParamScalar":
+    """value as a ParamScalar over ring: ValueError for another ring, TypeError for no scalar."""
     if type(value) is ParamScalar and value.num.ring is ring:
         return value
     if isinstance(value, (ParamScalar, ParamPoly)):
@@ -791,12 +796,10 @@ class ParamScalar(_Subtraction):
     def _coerce(self, other) -> "ParamScalar | None":
         if type(other) is ParamScalar and other.num.ring is self.num.ring:
             return other
-        if isinstance(other, (ParamScalar, ParamPoly)):
-            _same_rings(self.ring, other.ring)
-            return other if isinstance(other, ParamScalar) else other.as_scalar()
-        if isinstance(other, (int, Fraction)):
-            return self.ring.const(other)
-        return None
+        try:
+            return _coerce_scalar(self.ring, other)
+        except TypeError:
+            return None
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -868,9 +871,7 @@ class ParamScalar(_Subtraction):
     # -- equality and display ----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.den.is_one() and self.num == other
-        if isinstance(other, ParamPoly):
+        if isinstance(other, (int, Fraction, ParamPoly)):
             return self.den.is_one() and self.num == other
         if not isinstance(other, ParamScalar):
             return NotImplemented

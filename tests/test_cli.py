@@ -10,7 +10,14 @@ from fractions import Fraction
 import pytest
 
 from weylcurve import FamilySpec, SpectralCurve, build_family, curve_is_singular, solve_pair
-from weylcurve.cli import curve_from_report, main
+from weylcurve.cli import (
+    build_arg_parser,
+    curve_from_report,
+    job_from_args,
+    main,
+    render_report,
+    run_job,
+)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -504,6 +511,28 @@ def test_integers_past_the_str_digit_limit(argv, needle, capsys):
     assert report["command"] == argv[0]
     assert max(len(word) for word in out.split()) > 4300
     assert needle in out
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curve", "--V", "x^2", "--W", "123456789^300*x", "--m", "1"],
+        ["singular", "--family", "thm2", "--g", "1", "--bind", "A4=" + "7" * 5000,
+         "--bind", "A2=0", "--bind", "A0=0"],
+    ],
+)
+def test_the_path_without_main_lifts_the_str_digit_limit(argv):
+    # an in-process caller such as a benchmark skips main; the default limit is 4300
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, report = run_job(job_from_args(build_arg_parser().parse_args(argv)))
+        payload = render_report(report).decode("utf-8")
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert report["command"] == argv[0]
+    assert max(len(word) for word in payload.split()) > 4300
 
 
 def test_missing_required_range_errors(capsys):

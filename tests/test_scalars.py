@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylcurve import ParamPoly, ParamRing, ParamScalar, PoleError, Rat, mpoly_gcd
+from weylcurve import (
+    ParamPoly,
+    ParamRing,
+    ParamScalar,
+    PoleError,
+    Rat,
+    mpoly_gcd,
+    thm1_monomial_step,
+)
 from weylcurve import scalars as scalar_module
 from weylcurve.curve import SpectralCurve, curve_structure
 from weylcurve.parsing import parse_scalar
@@ -480,6 +488,45 @@ def test_poly_const_rejects_a_float(bad):
 def test_poly_constructor_rejects_a_float(bad):
     with pytest.raises(TypeError, match="cannot interpret"):
         ParamPoly(ParamRing(["A"]), {(0,): bad})
+
+
+# the ring of a monomial step; _A6, over the same names without the step's C, is foreign to it
+_STEP_RING = ParamRing(["A6", "A2", "C"])
+_STEP_A6 = _STEP_RING.param("A6")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: _STEP_A6 + _A6,
+        lambda: _A6 * _STEP_A6,
+        lambda: _STEP_A6 / _A6.num,
+        lambda: DiffOp.d(_STEP_RING).scale(_A6),
+        lambda: DiffOp.zero(_STEP_RING).scale(_A6),
+        lambda: thm1_monomial_step(_STEP_RING, 1, 2, _A6, 1),
+    ],
+    ids=["add", "mul", "div-by-poly", "diffop-scale", "zero-diffop-scale", "thm1-step"],
+)
+def test_a_scalar_over_another_ring_is_refused(call):
+    with pytest.raises(ValueError, match="mixed parameter rings"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: _STEP_A6 + 0.5,
+        lambda: 0.5 - _STEP_A6,
+        lambda: _STEP_A6 * 0.5,
+        lambda: _STEP_A6 / 0.5,
+        lambda: DiffOp.d(_STEP_RING).scale(0.5),
+        lambda: DiffOp.zero(_STEP_RING).scale(0.5),
+    ],
+    ids=["add", "rsub", "mul", "div", "diffop-scale", "zero-diffop-scale"],
+)
+def test_a_float_is_refused(call):
+    with pytest.raises(TypeError):
+        call()
 
 
 def test_integral_inputs_become_ints():

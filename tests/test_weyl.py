@@ -11,6 +11,7 @@ from weylcurve import (
     DiffOp,
     ExprError,
     FamilySpec,
+    ParamPoly,
     ParamRing,
     QPoly,
     XPoly,
@@ -139,6 +140,8 @@ def test_rational_scaling_matches_scalar_products(coeffs, order, factor):
         SCALE_RING, [0] + [c / SCALE_RING.const(i + 1) for i, c in enumerate(p.coeffs)]
     )
     assert p.scale(factor) == XPoly(SCALE_RING, [c * SCALE_RING.const(factor) for c in p.coeffs])
+    op = DiffOp(SCALE_RING, [p, 1])
+    assert op.scale(factor) == op.scale(SCALE_RING.const(factor)) == op * factor
 
 
 def test_compose_basics():
@@ -234,6 +237,63 @@ def ops(draw):
     order = draw(st.integers(0, 4))
     rational = draw(st.booleans())
     return DiffOp(_RING, [draw(xpolys(rational=rational)) for _ in range(order + 1)])
+
+
+@st.composite
+def param_polys(draw):
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    coeffs = st.sampled_from((1, -2, Fraction(3, 2), Fraction(-1, 3)))
+    return ParamPoly(_RING, draw(st.dictionaries(exps, coeffs, max_size=3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        param_polys(),
+        xpolys(max_degree=3),
+        st.builds(lambda cs: DiffOp(_RING, cs), st.lists(xpolys(max_degree=2), max_size=3)),
+    ),
+    st.integers(0, 8),
+)
+def test_power_is_the_repeated_product(base, n):
+    want = {
+        ParamPoly: _RING.poly_one(),
+        XPoly: XPoly.const(_RING, 1),
+        DiffOp: DiffOp.identity(_RING),
+    }[type(base)]
+    for _ in range(n):
+        want = want * base
+    assert base**n == want
+
+
+def _count_products(monkeypatch, cls) -> list:
+    calls = []
+    mul = cls.__mul__
+
+    def counted(a, b):
+        calls.append(None)
+        return mul(a, b)
+
+    monkeypatch.setattr(cls, "__mul__", counted)
+    return calls
+
+
+def test_polynomial_power_squares_up_to_its_top_bit(monkeypatch):
+    p = ParamPoly(_RING, {(1, 0): 1, (0, 1): Fraction(3, 2), (0, 0): -1})
+    calls = _count_products(monkeypatch, ParamPoly)
+    p8 = p**8
+    assert len(calls) == 3  # p^2, p^4, p^8; no square past the top bit
+    assert len(p8.terms) == 45
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_operator_power_composes_one_factor_at_a_time(monkeypatch, n):
+    ring = ParamRing(())
+    op = DiffOp.d(ring) + 2 * XPoly.x(ring)
+    calls = _count_products(monkeypatch, DiffOp)
+    power = op**n
+    assert len(calls) == max(n - 1, 0)
+    assert power.order == n
 
 
 def leibniz_compose(a: DiffOp, b: DiffOp) -> DiffOp:
