@@ -24,8 +24,10 @@ v_{k-1} = T(v_{k-1}).  The chain closes iff a_{m+1} can be made constant in
 x, and its x^p coefficient [x^p] u_m + sum_{j<=m} C_j [x^p] v_{m+1-j} is
 linear in C_1 ... C_m.  So this module runs m rungs over the ring of V and W
 alone, reads the linear system off the sequence, solves it exactly over the
-parameter field in one Gauss-Jordan pass over affine forms in the constants,
-and assembles Q as a linear combination of the sequence.
+field of that ring in one Gauss-Jordan pass over affine forms in the
+constants, and assembles Q as a linear combination of the sequence.  No
+coefficient of the system mentions a constant, so the constants appear as
+ring variables only in the printed assignment, where free ones remain.
 """
 
 from __future__ import annotations
@@ -118,11 +120,6 @@ class QChain:
             raise ValueError(f"chain index {i} out of range 1..{self.m + 1}")
         return self.entries[i - 1]
 
-    @property
-    def closing_entry(self) -> XPoly:
-        """a_{m+1}, whose x-dependence must vanish for L to commute."""
-        return self.entries[-1]
-
 
 def _combine(u, v, cs, i: int) -> XPoly:
     """a_i = u_{i-1} + sum_{j<=i} c_j v_{i-j} for cs = (c_1, c_2, ...); zero c_j are skipped."""
@@ -186,7 +183,12 @@ class LinearEquation:
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """Closing conditions for a chain, ordered by descending x-power."""
+    """Closing conditions for a chain, ordered by descending x-power.
+
+    The coefficients live over the ring of V and W.  `ring`, the chain's ring
+    with the constants as variables, is only where the solved assignment is
+    written, since a pinned constant may depend on free ones.
+    """
 
     ring: ParamRing
     unknowns: tuple[str, ...]  # C_1 ... C_m; C_{m+1} never appears
@@ -198,21 +200,17 @@ def extract_constraints(chain: QChain) -> ConstraintSystem:
 
     The x^p coefficient of a_{m+1} is [x^p] u_m + sum_{j<=m} C_j [x^p] v_{m+1-j}.
     """
-    ring, m = chain.ring, chain.m
+    m = chain.m
     unknowns = chain.constants[:-1]
     closing = chain.u[m]
     parts = [(name, chain.v[m + 1 - j]) for j, name in enumerate(unknowns, start=1)]
     equations = []
     for power in range(max(p.degree or 0 for p in (closing,) + chain.v), 0, -1):
-        coeffs = tuple(
-            (name, p.coefficient(power).lift(ring)) for name, p in parts if p.coefficient(power)
-        )
-        constant = closing.coefficient(power).lift(ring)
+        coeffs = tuple((name, p.coefficient(power)) for name, p in parts if p.coefficient(power))
+        constant = closing.coefficient(power)
         if coeffs or constant:
             equations.append(LinearEquation(power=power, coeffs=coeffs, constant=constant))
-    return ConstraintSystem(
-        ring=ring, unknowns=unknowns, equations=tuple(equations)
-    )
+    return ConstraintSystem(ring=chain.ring, unknowns=unknowns, equations=tuple(equations))
 
 
 @dataclass(frozen=True)
@@ -223,10 +221,15 @@ class SolveOutcome:
     some remain free, and "infeasible" when a condition has no solution.
     Side conditions are nonconstant parameter polynomials that were divided
     by along the way; the solution is valid wherever none of them vanish.
+    `assignment` writes each pinned constant over the system's ring; `forms`
+    holds the same value as an affine form in the free constants, a dict
+    from a free constant's name, or None for the constant part, to a nonzero
+    coefficient over the ring of the equations.
     """
 
     status: str
     assignment: dict[str, ParamScalar] = field(default_factory=dict)
+    forms: dict[str, dict[str | None, ParamScalar]] = field(default_factory=dict)
     free: tuple[str, ...] = ()
     side_conditions: tuple[ParamPoly, ...] = ()
     witness: LinearEquation | None = None
@@ -248,17 +251,17 @@ def solve_constants(system: ConstraintSystem) -> SolveOutcome:
     coefficients, so no denominator mentions a constant.
     """
     ring = system.ring
-    zero = ring.zero()
     order = {name: i for i, name in enumerate(system.unknowns)}
     forms: dict[str, dict[str | None, ParamScalar]] = {}
     side: list[ParamPoly] = []
 
     def add(form: dict, key: str | None, value: ParamScalar) -> None:
-        total = form.get(key, zero) + value
-        if total.is_zero():
+        if key in form:
+            value = form[key] + value
+        if value.is_zero():
             form.pop(key, None)
         else:
-            form[key] = total
+            form[key] = value
 
     for eq in system.equations:
         row: dict[str | None, ParamScalar] = {}
@@ -290,8 +293,8 @@ def solve_constants(system: ConstraintSystem) -> SolveOutcome:
         forms[pivot] = solved
 
     assignment = {
-        name: sum((c * ring.param(key) for key, c in form.items() if key is not None),
-                  form.get(None, zero))
+        name: sum((c.lift(ring) * ring.param(key) for key, c in form.items() if key is not None),
+                  form.get(None, ring.zero()).lift(ring))
         for name, form in forms.items()
     }
     free = tuple(name for name in system.unknowns if name not in assignment)
@@ -313,6 +316,7 @@ def solve_constants(system: ConstraintSystem) -> SolveOutcome:
     return SolveOutcome(
         status=status,
         assignment=assignment,
+        forms=forms,
         free=free,
         side_conditions=tuple(seen),
     )
@@ -338,28 +342,16 @@ def assemble_q(
         if name not in outcome.free:
             raise ChainError(f"{name!r} is not a free constant of this chain")
     ring = chain.V.ring
-    at = [free_values.get(name, 0) for name in chain.constants]
-    values = [
-        _at_constants(outcome.assignment[name], ring, at) if name in outcome.assignment else at[j]
-        for j, name in enumerate(chain.constants[:-1])
-    ] + [0]
+    values = [free_values.get(name, 0) for name in chain.constants[:-1]] + [0]
+    for j, name in enumerate(chain.constants[:-1]):
+        form = outcome.forms.get(name)
+        if form is not None:
+            values[j] = sum((c._scale(free_values[key]) for key, c in form.items()
+                             if free_values.get(key)), form.get(None, 0))
     entries = [_combine(chain.u, chain.v, values, i) for i in range(1, chain.m + 2)]
     if not entries[-1].is_constant():
         raise ChainError("closing entry stayed x-dependent after substitution")
     return QPoly._raw(ring, entries[-2::-1] + [XPoly.const(ring, 1)])
-
-
-def _at_constants(value: ParamScalar, ring: ParamRing, at: list[RatLike]) -> ParamScalar:
-    """A solved value, over `ring` extended with the constants, taken at the
-    rational constants `at`; the solve keeps the constants out of denominators."""
-    n = len(ring)
-    num: dict = {}
-    for exp, coeff in value.num.terms.items():
-        for e, c in zip(exp[n:], at):
-            coeff *= c**e
-        num[exp[:n]] = num.get(exp[:n], 0) + coeff
-    den = {exp[:n]: coeff for exp, coeff in value.den.terms.items()}
-    return ParamScalar(ParamPoly(ring, num), ParamPoly(ring, den))
 
 
 def residual_eq2(Q: QPoly, V: XPoly, W: XPoly) -> QPoly:

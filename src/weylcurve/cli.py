@@ -218,6 +218,8 @@ def job_from_args(args: argparse.Namespace) -> JobSpec:
         if job.command == "verdict" and family_kind in PAIR_RANKS:
             if job.m is not None or g_bound is not None:  # an identity check probes no degree
                 raise CliInputError(f"verdict on {family_kind} takes neither --m nor --g-bound")
+        if g_bound is not None and "g" in FAMILIES[family_kind].shape_keys:
+            raise CliInputError(f"verdict on {family_kind} probes degree g or --m, not --g-bound")
         parameters: dict = {}
         for key in ("g", "n", "k", "b_mult", "b_over_a"):
             value = getattr(args, key, None)
@@ -359,17 +361,6 @@ def _curve_block(curve: SpectralCurve) -> dict:
         "z_coeffs_desc": [str(c) for c in reversed(curve.coeffs)],
         "pretty": str(curve),
     }
-
-
-def curve_from_report(report: dict) -> tuple[ParamRing, SpectralCurve]:
-    """Rebuild the curve object a report describes (round-trip helper)."""
-    block = report["result"]["curve"]
-    ring = ParamRing(tuple(block["params"]))
-    coeffs = [
-        parse_xpoly(ring, text).constant_value()
-        for text in reversed(block["z_coeffs_desc"])
-    ]
-    return ring, SpectralCurve(ring, tuple(coeffs))
 
 
 def _outcome_block(outcome) -> dict:

@@ -327,9 +327,6 @@ class ParamPoly(_Subtraction, _Powers):
         exp = max(self.terms, key=_grlex_key)
         return exp, self.terms[exp]
 
-    def degree_in(self, name: str) -> int:
-        return _deg_in_idx(self, self.ring.index(name))
-
     def free_params(self) -> frozenset[str]:
         names = self.ring.names
         out = set()

@@ -15,6 +15,7 @@ from weylcurve import (
     build_qchain,
     solve_pair,
 )
+from weylcurve.parsing import parse_xpoly
 
 
 def family_chain(kind, params, m):
@@ -32,6 +33,17 @@ def solved_family(kind, params, m, free_values=None):
     ring, V, W = build_family(FamilySpec(kind, params))
     solution = solve_pair(V, W, m, free_values)
     return solution.chain, solution.outcome, solution.Q, solution.curve
+
+
+def curve_from_report(report: dict) -> tuple[ParamRing, SpectralCurve]:
+    """Rebuild the curve object a report describes (round-trip helper)."""
+    block = report["result"]["curve"]
+    ring = ParamRing(tuple(block["params"]))
+    coeffs = [
+        parse_xpoly(ring, text).constant_value()
+        for text in reversed(block["z_coeffs_desc"])
+    ]
+    return ring, SpectralCurve(ring, tuple(coeffs))
 
 
 def curve_equals(curve: SpectralCurve, coeffs) -> bool:

@@ -115,7 +115,7 @@ def test_criterion_07_x5_family_positives():
         expected = XPoly.monomial(ring, 3, 9 * a * ring.param(f"C{g}")) + XPoly.const(
             ring, ring.param(f"C{g + 1}")
         )
-        assert chain.closing_entry == expected
+        assert chain.entry(chain.m + 1) == expected
         outcome = solve_constants(extract_constraints(chain))
         assert outcome.feasible
         _, _, Q, _ = solved_family("thm3", {"n": 5, "m": 1}, g)

@@ -70,7 +70,7 @@ def test_second_entry_closed_form():
 def test_thm1_second_entry_top_coefficient():
     chain = family_chain("thm1", {"g": 1}, 1)
     ring = chain.ring
-    a2 = chain.closing_entry
+    a2 = chain.entry(chain.m + 1)
     assert a2.coefficient(4) == 16 * ring.param("A6") * (ring.param("C1") - 16 * ring.param("A2"))
 
 
@@ -158,6 +158,22 @@ def test_solve_underdetermined_back_substitution():
     assert outcome.status == "underdetermined"
     assert outcome.free == ("C1", "C2")
     assert outcome.assignment["C3"] == 4096 * a2**3 - 256 * a2**2 * c1 + 16 * a2 * c2
+
+
+def test_solve_runs_over_the_ring_of_v_and_w():
+    # only the assignment, where free constants appear, lives over the chain ring
+    for kind in ("thm1", "thm2"):
+        chain = family_chain(kind, {"g": 2}, 4)
+        system = extract_constraints(chain)
+        outcome = solve_constants(system)
+        base = chain.V.ring
+        assert system.ring == chain.ring and outcome.free == ("C1", "C2")
+        for eq in system.equations:
+            assert all(c.ring == base for c in (eq.constant, *dict(eq.coeffs).values()))
+        assert outcome.forms.keys() == outcome.assignment.keys() == {"C3", "C4"}
+        for name, form in outcome.forms.items():
+            assert all(c.ring == base for c in form.values())
+            assert outcome.assignment[name].ring == chain.ring
 
 
 def test_solve_infeasible_witness():
@@ -341,7 +357,7 @@ def test_criterion_equivalence_via_telescoping():
     for kind, params, m in [("thm1", {"g": 1}, 1), ("thm1", {"g": 1}, 2), ("thm2", {"g": 2}, 2)]:
         chain = family_chain(kind, params, m)
         res = residual_eq2(raw_q(chain), chain.V, chain.W)
-        assert res == QPoly.from_xpoly(chain.closing_entry.derivative().scale(-4))
+        assert res == QPoly.from_xpoly(chain.entry(chain.m + 1).derivative().scale(-4))
         assert not res.is_zero()  # constants unsolved, so closure fails
 
 
@@ -469,6 +485,14 @@ def test_family_sequences_match_rung_by_rung_reference():
         ring, V, W = build_family(FamilySpec(kind, params))
         outcome = assert_matches_reference(V, W, m)
         assert outcome.feasible == expected_feasible(FamilySpec(kind, params), m)
+
+
+def test_pinned_constant_at_two_nonzero_free_values():
+    # C3 = 4096 A2^3 - 256 A2^2 C1 + 16 A2 C2, taken at C1 = 3/7 and C2 = -2
+    ring, V, W = build_family(FamilySpec("thm1", {"g": 1}))
+    outcome = assert_matches_reference(V, W, 3, {"C1": Fraction(3, 7), "C2": -2})
+    assert outcome.free == ("C1", "C2")
+    assert set(outcome.forms["C3"]) == {None, "C1", "C2"}
 
 
 def test_prefix_chain_matches_a_fresh_build():

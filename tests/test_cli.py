@@ -12,12 +12,13 @@ import pytest
 from weylcurve import FamilySpec, SpectralCurve, build_family, curve_is_singular, solve_pair
 from weylcurve.cli import (
     build_arg_parser,
-    curve_from_report,
     job_from_args,
     main,
     render_report,
     run_job,
 )
+
+from support import curve_from_report
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -94,6 +95,9 @@ GOLDEN_CASES = [
      "commutator_explicit.json", 1),
     (["oracle-check", "--family", "thm1", "--g", "2", "--k-range", "0:3"], None,
      "oracle_thm1_g2.json", 0),
+    # a pinned constant taken at two nonzero free values: C3 = 4096 A2^3 - 256 A2^2 C1 + 16 A2 C2
+    (["curve", "--family", "thm1", "--g", "1", "--m", "3",
+      "--free-const", "C1=3/7", "--free-const", "C2=-2"], None, "curve_thm1_g1_m3_free.json", 0),
 ]
 
 
@@ -478,9 +482,14 @@ def test_input_errors_exit_2(capsys, tmp_path):
     )
     assert (code, out) == (2, "")
     assert err == "error: chain length m must be >= 1, got 0\n"
-    # the g-indexed families probe degree g whatever the bound
-    code, _, _ = run_cli(["verdict", "--family", "thm1", "--g", "2", "--g-bound", "0"], capsys)
-    assert code == 0
+    # a g-indexed family probes degree g or --m and refuses a bound it would ignore
+    for kind in ("thm1", "thm2", "mironov_x3"):
+        for bound in ("-1", "0", "4"):
+            code, out, err = run_cli(
+                ["verdict", "--family", kind, "--g", "2", "--g-bound", bound], capsys
+            )
+            assert (code, out) == (2, "")
+            assert err == f"error: verdict on {kind} probes degree g or --m, not --g-bound\n"
     # an --out file that cannot be written
     code, out, err = run_cli(
         ["commutator", "--family", "dixmier_rank2", "--out", str(tmp_path / "missing" / "r.json")],
