@@ -25,9 +25,12 @@ x, and its x^p coefficient [x^p] u_m + sum_{j<=m} C_j [x^p] v_{m+1-j} is
 linear in C_1 ... C_m.  So this module runs m rungs over the ring of V and W
 alone, reads the linear system off the sequence, solves it exactly over the
 field of that ring in one Gauss-Jordan pass over affine forms in the
-constants, and assembles Q as a linear combination of the sequence.  No
-coefficient of the system mentions a constant, so the constants appear as
-ring variables only in the printed assignment, where free ones remain.
+constants, and checks the solved values against every condition
+(``closed_jets``).  The spectral curve reads only x^0 .. x^4 of Q, so that
+check returns Q's coefficients cut there; Q in full, a linear combination of
+the sequence, is assembled only on request (``assemble_q``).  No coefficient
+of the system mentions a constant, so the constants appear as ring variables
+only in the printed assignment, where free ones remain.
 """
 
 from __future__ import annotations
@@ -322,18 +325,16 @@ def solve_constants(system: ConstraintSystem) -> SolveOutcome:
     )
 
 
-def assemble_q(
+def _solved_values(
     chain: QChain,
     outcome: SolveOutcome,
-    free_values: Mapping[str, RatLike] | None = None,
-) -> QPoly:
-    """Build Q over the ring of V and W from the solved constants.
+    free_values: Mapping[str, RatLike] | None,
+) -> list:
+    """The values c_1 ... c_{m+1} of the constants, over the ring of V and W.
 
-    Free constants default to 0 unless overridden.  C_{m+1} only shifts Q
-    by a scalar; it stays a formal choice and we take the canonical
-    representative 0.  With the values c_j, a_i = u_{i-1} + sum_{j<=i} c_j
-    v_{i-j}.  The closing entry a_{m+1} must come out x-constant; anything
-    else is a logic error.
+    A free constant takes its value in free_values (default 0), a pinned one
+    its form at those values, and C_{m+1}, which only shifts Q by a scalar,
+    the canonical representative 0.
     """
     if not outcome.feasible:
         raise ChainError("cannot assemble Q from an infeasible outcome")
@@ -341,17 +342,63 @@ def assemble_q(
     for name in free_values:
         if name not in outcome.free:
             raise ChainError(f"{name!r} is not a free constant of this chain")
-    ring = chain.V.ring
     values = [free_values.get(name, 0) for name in chain.constants[:-1]] + [0]
     for j, name in enumerate(chain.constants[:-1]):
         form = outcome.forms.get(name)
         if form is not None:
             values[j] = sum((c._scale(free_values[key]) for key, c in form.items()
                              if free_values.get(key)), form.get(None, 0))
+    return values
+
+
+def assemble_q(
+    chain: QChain,
+    outcome: SolveOutcome,
+    free_values: Mapping[str, RatLike] | None = None,
+) -> QPoly:
+    """Build Q over the ring of V and W from the solved constants.
+
+    Free constants default to 0 unless overridden.  With the values c_j,
+    a_i = u_{i-1} + sum_{j<=i} c_j v_{i-j}.  The closing entry a_{m+1} must
+    come out x-constant; anything else is a logic error.
+    """
+    values = _solved_values(chain, outcome, free_values)
     entries = [_combine(chain.u, chain.v, values, i) for i in range(1, chain.m + 2)]
     if not entries[-1].is_constant():
         raise ChainError("closing entry stayed x-dependent after substitution")
+    ring = chain.V.ring
     return QPoly._raw(ring, entries[-2::-1] + [XPoly.const(ring, 1)])
+
+
+def closed_jets(
+    chain: QChain,
+    system: ConstraintSystem,
+    outcome: SolveOutcome,
+    free_values: Mapping[str, RatLike] | None = None,
+) -> tuple[XPoly, ...]:
+    """The z-coefficients a_m, ..., a_1, 1 of Q cut to x^0 .. x^4, once the
+    solved values are checked to close the chain.
+
+    Every closing condition is evaluated at the values of ``assemble_q`` over
+    the ring of V and W; a nonzero one raises ChainError.  That check is the
+    whole certificate: a_{m+1} is x-free iff every condition holds, and then
+    the residual of Q vanishes by the telescoping argument of the module
+    docstring.  The x^0 .. x^4 part of a_i takes only that part of u and v.
+    """
+    values = _solved_values(chain, outcome, free_values)
+    at = dict(zip(chain.constants, values))
+    for eq in system.equations:
+        total = eq.constant
+        for name, c in eq.coeffs:
+            if at[name]:
+                total = total + c * at[name]
+        if total:
+            raise ChainError("closing entry stayed x-dependent after substitution")
+    ring = chain.V.ring
+    u = [XPoly._raw(ring, list(p.coeffs[:5])) for p in chain.u]
+    v = [XPoly._raw(ring, list(p.coeffs[:5])) for p in chain.v]
+    jets = [_combine(u, v, values, i) for i in range(chain.m, 0, -1)]
+    return tuple(jets) + (XPoly.const(ring, 1),)
 
 
 def residual_eq2(Q: QPoly, V: XPoly, W: XPoly) -> QPoly:

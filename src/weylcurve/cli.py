@@ -220,6 +220,7 @@ def job_from_args(args: argparse.Namespace) -> JobSpec:
                 raise CliInputError(f"verdict on {family_kind} takes neither --m nor --g-bound")
         if g_bound is not None and "g" in FAMILIES[family_kind].shape_keys:
             raise CliInputError(f"verdict on {family_kind} probes degree g or --m, not --g-bound")
+        _refuse_bound_beside_degree(job.m, g_bound)
         parameters: dict = {}
         for key in ("g", "n", "k", "b_mult", "b_over_a"):
             value = getattr(args, key, None)
@@ -258,6 +259,7 @@ def job_from_args(args: argparse.Namespace) -> JobSpec:
                     f"document key 'm' must be a positive integer, got {m_doc!r}"
                 )
             job.m = m_doc
+    _refuse_bound_beside_degree(job.m, g_bound)
     try:
         ParamRing(job.params)  # reserved, duplicate and malformed names
     except ValueError as exc:
@@ -268,6 +270,12 @@ def job_from_args(args: argparse.Namespace) -> JobSpec:
             f"--bind names are not declared parameters: {', '.join(undeclared)}"
         )
     return job
+
+
+def _refuse_bound_beside_degree(m: int | None, g_bound: int | None) -> None:
+    # a verdict at a given degree probes that degree alone and would ignore the bound
+    if m is not None and g_bound is not None:
+        raise CliInputError("--g-bound cannot be combined with --m or a document 'm'")
 
 
 def _split_params(value) -> tuple[str, ...]:

@@ -11,8 +11,11 @@ constant in x and F is monic of degree 2m + 1, the defining polynomial of a
 genus <= m hyperelliptic curve.
 
 The x-derivative of the right side is 2 Q R with R the closure residual
-``residual_eq2(Q, V, W)``, so F is evaluated exactly by checking R = 0 and
-then reading the formula off at x = 0; the expansion in x is never built.
+``residual_eq2(Q, V, W)``, so once R = 0 F is read off at x = 0, from the
+x^0 .. x^4 part of Q alone; the expansion in x is never built.
+``spectral_curve`` checks R = 0 on a Q given in full.  ``solve_pair``
+never builds Q: its closing check (``chain.closed_jets``) proves R = 0 and
+hands over the x^0 .. x^4 part of Q's coefficients.
 F is a ``SpectralCurve``: an ``XPoly`` whose variable is z, so the formula
 at x = 0 is plain XPoly arithmetic in z.
 The module also decides singularity (a repeated root of F) and splits off
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .scalars import (
@@ -50,6 +53,7 @@ from .chain import (
     SolveOutcome,
     assemble_q,
     build_qchain,
+    closed_jets,
     extract_constraints,
     residual_eq2,
     solve_constants,
@@ -110,8 +114,33 @@ def render_zpoly(coeffs: Sequence) -> str:
     return " + ".join(parts) if parts else "0"
 
 
+def _taylor_f(coeffs: Sequence[XPoly], V: XPoly, W: XPoly) -> XPoly:
+    """F(z) read off at x = 0 from the z-coefficients of Q, whole or cut to x^0 .. x^4.
+
+    With the z-polynomials t_k = [x^k] Q, so that Q^(k)(0) = k! t_k, and
+    V_0 = V(0), V_1 = V'(0), W_0 = W(0), the x = 0 value of the module
+    formula divided by 4 is
+
+      F = (z - W_0) t_0^2 - V_0 t_1^2 + t_2^2 - 3 t_1 t_3
+          + t_0 (V_1 t_1 + 4 V_0 t_2 + 12 t_4),
+
+    six XPoly products in z; the squares t_0^2, t_1^2 and t_2^2 take the
+    product kernel's square path.
+    """
+    ring = V.ring
+    t0, t1, t2, t3, t4 = (XPoly._raw(ring, [c.coefficient(k) for c in coeffs]) for k in range(5))
+    V0, V1, W0 = V.coefficient(0), V.coefficient(1), W.coefficient(0)
+    return (
+        t0 * t0 * XPoly(ring, [-W0, 1])
+        - (t1 * t1).scale(V0)
+        + t2 * t2
+        - (t1 * t3).scale(3)
+        + t0 * (t1.scale(V1) + t2.scale(4 * V0) + t4.scale(12))
+    )
+
+
 def spectral_curve(Q: QPoly, V: XPoly, W: XPoly) -> SpectralCurve:
-    """Evaluate F(z) from a closing polynomial Q.
+    """Evaluate F(z) from a closing polynomial Q given in full.
 
     Write E = 4 F for the right side of the module formula and R for
     ``residual_eq2(Q, V, W)``.  Differentiating E in x, the V' Q'^2,
@@ -122,54 +151,47 @@ def spectral_curve(Q: QPoly, V: XPoly, W: XPoly) -> SpectralCurve:
 
     so E is a first integral of the closure equation (Burchnall-Chaundy;
     Krichever-Novikov).  R = 0 proves exactly that E is free of x, and E
-    then equals its value at x = 0.  With the z-polynomials Q_k = Q^(k)(0)
-    and V_0 = V(0), V_1 = V'(0), W_0 = W(0),
-
-      E(0) = 4 (z - W_0) Q_0^2 - 4 V_0 Q_1^2 + Q_2^2 - 2 Q_1 Q_3
-             + 2 Q_0 (2 V_1 Q_1 + 4 V_0 Q_2 + Q_4),
-
-    six XPoly products in z instead of the full expansion in x; the squares
-    Q_0^2, Q_1^2 and Q_2^2 take the product kernel's square path.
-    When R != 0, E = E(0) + Integral_0^x 2 Q R dx, and XDependenceError
-    reports that x-polynomial for every z-power where it is not constant;
-    this happens exactly when Q does not certify closure.
+    then equals its value at x = 0, which needs only the x^0 .. x^4 part of
+    Q (``_taylor_f``).  When R != 0, E = E(0) + Integral_0^x 2 Q R dx, and
+    XDependenceError reports that x-polynomial for every z-power where it is
+    not constant; this happens exactly when Q does not certify closure.
+    ``solve_pair`` does not come here: it checks the closing conditions
+    instead and reads F off the x-jets of Q.
     """
     ring = Q.ring
     V = V.lift(ring)
     W = W.lift(ring)
     R = residual_eq2(Q, V, W)
-    q0, q1, q2, q3, q4 = (
-        XPoly(ring, [c.coefficient(k) * factorial(k) for c in Q.coeffs]) for k in range(5)
-    )
-    V0, V1, W0 = V.coefficient(0), V.coefficient(1), W.coefficient(0)
-    four_f = (
-        (q0 * q0 * XPoly(ring, [-W0, 1])).scale(4)
-        - (q1 * q1).scale(4 * V0)
-        + q2 * q2
-        - (q1 * q3).scale(2)
-        + (q0 * (q1.scale(2 * V1) + q2.scale(4 * V0) + q4)).scale(2)
-    )
+    F = _taylor_f(Q.coeffs, V, W)
     if not R.is_zero():
         raise XDependenceError({
-            power: (slope * 2).antiderivative() + four_f.coefficient(power)
+            power: (slope * 2).antiderivative() + F.coefficient(power)._scale(4)
             for power, slope in enumerate((Q * R).coeffs)
             if slope
         })
-    return SpectralCurve(ring, four_f.scale(Fraction(1, 4)).coeffs)
+    return SpectralCurve(ring, F.coeffs)
 
 
 @dataclass(frozen=True)
 class PairSolution:
     """Every stage of the closure decision for one (V, W, m).
 
-    Q and curve are None when the chain cannot close.
+    `curve` is computed by ``solve_pair``; Q, which no report prints, is
+    assembled by ``assemble_q`` when it is first read.  Both are None when
+    the chain cannot close.
     """
 
     chain: QChain
     system: ConstraintSystem
     outcome: SolveOutcome
-    Q: QPoly | None
+    free_values: Mapping[str, RatLike]
     curve: SpectralCurve | None
+
+    @cached_property
+    def Q(self) -> QPoly | None:
+        if not self.outcome.feasible:
+            return None
+        return assemble_q(self.chain, self.outcome, self.free_values)
 
 
 def solve_pair(
@@ -180,19 +202,23 @@ def solve_pair(
     prefix: QChain | None = None,
 ) -> PairSolution:
     """Build the chain to degree m, solve its closing conditions, and when
-    they are feasible assemble Q and the spectral curve.
+    they are feasible compute the spectral curve.
 
-    Free constants are 0 unless free_values sets them; naming a constant
-    that is not free raises ChainError.  `prefix`, a chain of an earlier
-    solve of the same V and W, lends its sequence to build_qchain.
+    The curve does not go through Q: ``closed_jets`` checks that the solved
+    values satisfy every closing condition, which certifies closure, and
+    returns the x^0 .. x^4 part of Q's coefficients, all that F reads.  Free
+    constants are 0 unless free_values sets them; naming a constant that is
+    not free raises ChainError.  `prefix`, a chain of an earlier solve of
+    the same V and W, lends its sequence to build_qchain.
     """
     chain = build_qchain(V, W, m, prefix=prefix)
     system = extract_constraints(chain)
     outcome = solve_constants(system)
+    free_values = dict(free_values or {})
     if not outcome.feasible:
-        return PairSolution(chain, system, outcome, None, None)
-    Q = assemble_q(chain, outcome, free_values)
-    return PairSolution(chain, system, outcome, Q, spectral_curve(Q, chain.V, chain.W))
+        return PairSolution(chain, system, outcome, free_values, None)
+    F = _taylor_f(closed_jets(chain, system, outcome, free_values), chain.V, chain.W)
+    return PairSolution(chain, system, outcome, free_values, SpectralCurve(chain.V.ring, F.coeffs))
 
 
 # -- singularity analysis in Q[params][z] ------------------------------------

@@ -1,5 +1,6 @@
 """The closing recursion: chains, constraint extraction, and the exact solver."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from weylcurve import (
     residual_eq2,
     solve_constants,
 )
-from weylcurve.chain import QPoly, eq2_operator
+from weylcurve.chain import QPoly, closed_jets, eq2_operator
 from weylcurve.parsing import parse_scalar
 
 from support import family_chain, q_z, solved_family
@@ -302,6 +303,31 @@ def test_assemble_q_free_values():
     assert residual_eq2(Q1, chain.V, chain.W).is_zero()
     with pytest.raises(ChainError):
         assemble_q(chain, outcome, {"C9": 1})
+
+
+def test_closing_check_refuses_a_corrupted_form():
+    # a pinned value that misses its closing condition must not reach the curve
+    chain = family_chain("thm1", {"g": 1}, 3)
+    system = extract_constraints(chain)
+    outcome = solve_constants(system)
+    assert len(closed_jets(chain, system, outcome, {"C1": 1})) == chain.m + 1
+    form = dict(outcome.forms["C3"])
+    form[None] = form[None] + 1
+    corrupted = replace(outcome, forms={**outcome.forms, "C3": form})
+    with pytest.raises(ChainError, match="closing entry stayed x-dependent"):
+        closed_jets(chain, system, corrupted)
+    with pytest.raises(ChainError, match="not a free constant"):
+        closed_jets(chain, system, outcome, {"C3": 1})
+
+
+@pytest.mark.parametrize("free_values", [{}, {"C1": Fraction(3, 7), "C2": -2}])
+def test_jets_are_the_low_part_of_q(free_values):
+    chain = family_chain("thm1", {"g": 1}, 3)
+    system = extract_constraints(chain)
+    outcome = solve_constants(system)
+    Q = assemble_q(chain, outcome, free_values)
+    jets = closed_jets(chain, system, outcome, free_values)
+    assert jets == tuple(XPoly(c.ring, c.coeffs[:5]) for c in Q.coeffs)
 
 
 def test_residual_examples():

@@ -9,7 +9,15 @@ from fractions import Fraction
 
 import pytest
 
-from weylcurve import FamilySpec, SpectralCurve, build_family, curve_is_singular, solve_pair
+from weylcurve import (
+    FamilySpec,
+    SpectralCurve,
+    build_family,
+    curve_is_singular,
+    residual_eq2,
+    solve_pair,
+    spectral_curve,
+)
 from weylcurve.cli import (
     build_arg_parser,
     job_from_args,
@@ -112,6 +120,46 @@ def test_golden_files_match(capsys):
         code, _, err = run_cli(argv + ["--golden", path], capsys, stdin=stdin)
         assert code == want_code, name
         assert "golden mismatch" not in err, name
+
+
+def test_golden_members_full_q_matches_the_jets_curve(capsys, monkeypatch):
+    # the reports read F off the x-jets of Q behind the closing check; for every
+    # member a golden solves, the full Q must close and give the same curve
+    from weylcurve import cli, families
+    seen = []
+
+    def recording(V, W, m, free_values=None, prefix=None):
+        solution = solve_pair(V, W, m, free_values, prefix)
+        seen.append((V, W, solution))
+        return solution
+
+    monkeypatch.setattr(cli, "solve_pair", recording)
+    monkeypatch.setattr(families, "solve_pair", recording)
+    for argv, doc, _, _ in GOLDEN_CASES:
+        run_cli(argv, capsys, stdin=json.dumps(doc) if doc is not None else None)
+    closing = [(V, W, s) for V, W, s in seen if s.curve is not None]
+    assert len(closing) >= 10
+    for V, W, solution in closing:
+        assert residual_eq2(solution.Q, V, W).is_zero()
+        assert spectral_curve(solution.Q, V, W) == solution.curve
+
+
+@pytest.mark.parametrize(
+    "argv,doc",
+    [
+        (["verdict", "--family", "thm3", "--n", "5", "--b-mult", "1", "--m", "2",
+          "--g-bound", "9"], None),
+        (["verdict", "--g-bound", "7"], {**_X4_DOC, "m": 1}),
+        (["verdict", "--params", "", "--V", "x^4", "--W", "8*x^2", "--m", "1",
+          "--g-bound", "7"], None),
+    ],
+    ids=["thm3-m", "document-m", "inline-m"],
+)
+def test_verdict_refuses_a_bound_beside_a_degree(argv, doc, capsys):
+    # a given degree is the only one probed, so the bound would be ignored
+    code, out, err = run_cli(argv, capsys, stdin=json.dumps(doc) if doc is not None else None)
+    assert (code, out) == (2, "")
+    assert err == "error: --g-bound cannot be combined with --m or a document 'm'\n"
 
 
 def test_golden_mismatch_and_missing(tmp_path, capsys):

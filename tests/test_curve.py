@@ -7,17 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylcurve import (
+    FamilySpec,
     ParamRing,
     SpectralCurve,
     UnboundParameterError,
     XDependenceError,
     XPoly,
+    assemble_q,
+    build_family,
     curve_is_singular,
     curve_structure,
     render_zpoly,
     residual_eq2,
+    solve_pair,
     spectral_curve,
 )
+from weylcurve import curve as curve_module
 from weylcurve.chain import QPoly
 from weylcurve.weyl import dense_mul
 
@@ -148,10 +153,32 @@ def test_family_curves_match_full_expansion():
         ("thm1", {"g": 1}, 3),
         ("thm2", {"g": 2}, 2),
         ("mironov_x3", {"g": 2}, 3),
+        ("mironov_x3", {"g": 3}, 3),  # Q has x^1 and x^3 parts: the 2 Q' Q''' term counts
         ("thm3", {"n": 4, "b_mult": 2}, 2),
     ]:
         chain, _, Q, curve = solved_family(kind, params, m)
         assert curve == expanded_curve(Q, chain.V, chain.W)
+
+
+@pytest.mark.parametrize(
+    "kind,params,m,free_values",
+    [
+        ("thm1", {"g": 1}, 3, {"C1": Fraction(3, 7), "C2": -2}),  # the free-constant golden
+        ("thm1", {"g": 2}, 3, {"C1": 5}),
+        ("thm2", {"g": 2}, 2, {}),
+        ("mironov_x3", {"g": 1}, 2, {}),
+    ],
+)
+def test_solution_q_is_assembled_when_read(kind, params, m, free_values, monkeypatch):
+    _, V, W = build_family(FamilySpec(kind, params))
+    with monkeypatch.context() as patched:
+        for name in ("assemble_q", "residual_eq2", "spectral_curve"):
+            patched.setattr(curve_module, name, None)  # the solve must not call them
+        solution = solve_pair(V, W, m, free_values)
+    assert solution.curve is not None
+    assert solution.Q == assemble_q(solution.chain, solution.outcome, free_values)
+    assert solution.Q is solution.Q
+    assert spectral_curve(solution.Q, V, W) == solution.curve
 
 
 @settings(max_examples=40, deadline=None)
