@@ -18,6 +18,7 @@ from weylcurve import (
     solve_pair,
     spectral_curve,
 )
+from weylcurve import cli, families
 from weylcurve.cli import (
     build_arg_parser,
     job_from_args,
@@ -125,7 +126,6 @@ def test_golden_files_match(capsys):
 def test_golden_members_full_q_matches_the_jets_curve(capsys, monkeypatch):
     # the reports read F off the x-jets of Q behind the closing check; for every
     # member a golden solves, the full Q must close and give the same curve
-    from weylcurve import cli, families
     seen = []
 
     def recording(V, W, m, free_values=None, prefix=None):
