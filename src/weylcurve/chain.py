@@ -80,16 +80,19 @@ def eq2_operator(V: XPoly, W: XPoly) -> DiffOp:
     ])
 
 
-def recursion_step(a: XPoly, V: XPoly, W: XPoly, constant) -> XPoly:
+def recursion_step(a: XPoly, V: XPoly, W: XPoly, constant, *, E: DiffOp | None = None) -> XPoly:
     """One rung of the chain: a_i -> a_{i+1} = T(a_i) + constant, T(a) = -1/4 Integral E(a) dx.
 
     `constant` is the integration constant: a scalar-like value or the name
     of a ring parameter.  The antiderivative itself is taken with zero
     constant term, so the produced polynomial has `constant` as its exact
     x-free part whenever the integrand has no 1/x obstruction (the integrand
-    of a closing chain never does).  E is ``eq2_operator(V, W)``.
+    of a closing chain never does).  E is ``eq2_operator(V, W)``; a caller
+    that runs many rungs on one (V, W) passes it in.
     """
-    return xpoly_integrate(eq2_operator(V, W).apply(a).scale(Fraction(-1, 4)), constant)
+    if E is None:
+        E = eq2_operator(V, W)
+    return xpoly_integrate(E.apply(a).scale(Fraction(-1, 4)), constant)
 
 
 @dataclass(frozen=True)
@@ -156,9 +159,10 @@ def build_qchain(V: XPoly, W: XPoly, m: int, prefix: QChain | None = None) -> QC
     else:
         u, v = list(prefix.u[: m + 1]), list(prefix.v[: m + 1])
     half_w0 = W.coefficient(0) / 2
+    E = eq2_operator(V, W) if len(u) <= m else None  # built only when a rung runs
     while len(u) <= m:
         v.append(u[-1] - v[-1].scale(half_w0))
-        u.append(recursion_step(u[-1], V, W, 0))
+        u.append(recursion_step(u[-1], V, W, 0, E=E))
     ring = V.ring.extend(constants)
     return QChain(ring=ring, V=V, W=W, m=m, constants=constants, u=tuple(u), v=tuple(v))
 

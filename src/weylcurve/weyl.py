@@ -20,19 +20,24 @@ its own products and calculus:
 - ``curve.SpectralCurve`` is the monic F(z) of a spectral curve w^2 = F(z),
   an XPoly whose variable is z; it adds the monic check and the genus bound.
 
-Composition multiplies term by term with the normal-ordering rule of the
-Weyl algebra
+Composition works on symbols.  The symbol of sum_i c_i(x) D^i is the
+commutative polynomial sum_i c_i(x) xi^i, and with a, b the symbols of A, B
 
-    (x^p D^i)(x^q D^j) = sum_{k=0}^{min(i,q)} C(i,k) q!/(q-k)! x^(p+q-k) D^(i+j-k),
+    A B = sum_{k>=0} (d_xi^k a / k!) (d_x^k b),
 
-so each pair of nonzero terms costs one product of parameter polynomials; its
-k = i, j = 0 term is x^p D^i applied to x^q, which ``DiffOp.apply`` sums.  The
-products and ``apply`` run on the terms dicts of the coefficient numerators and
-build scalar objects once, at the end, through the kernels of ``scalars.py``
-(``_mul_into``, ``_add_into``, ``_poly``); this module keeps only the
-bookkeeping of x-powers and D-orders.  A denominator other than 1 is handled by
-clearing denominators: the parameters are constants for D, so with N/d the
-coefficients of an operand over their lcm d, (N_L/d_L)(N_R/d_R) =
+a sum of commutative products.  For one pair of terms x^p xi^i and x^q xi^j
+the k-th summand is C(i,k) q!/(q-k)! x^(p+q-k) xi^(i+j-k), so each pair costs
+one product of parameter polynomials, shared by all its k.  The commutator
+[A, B] runs the sum from k = 1 for (a, b) and, negated, for (b, a): the k = 0
+summands a b and b a are equal, so neither is built.  The k = i summand of a
+pair with j = 0 is x^p D^i applied to x^q, which ``DiffOp.apply`` sums.
+
+The products and ``apply`` run on the terms dicts of the coefficient numerators
+and build scalar objects once, at the end, through the kernels of
+``scalars.py`` (``_mul_into``, ``_add_into``, ``_poly``); this module keeps
+only the bookkeeping of x-powers and D-orders.  A denominator other than 1 is
+handled by clearing denominators: the parameters are constants for D, so with
+N/d the coefficients of an operand over their lcm d, (N_L/d_L)(N_R/d_R) =
 (N_L N_R)/(d_L d_R), and each result coefficient is then reduced by
 ``ParamScalar``.  Degrees and orders use None for the zero element.
 """
@@ -388,35 +393,7 @@ class DiffOp(_Dense):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        ring = self.ring
-        if self.is_zero() or other.is_zero():
-            return DiffOp.zero(ring)
-        lkeys, lscalars = _terms_of(self)
-        rkeys, rscalars = _terms_of(other)
-        left, dl = _cleared(ring, lscalars)
-        right, dr = _cleared(ring, rscalars)
-        right = list(zip(rkeys, right))
-        # (D-order, x-power) -> accumulated terms of that coefficient
-        out: dict[tuple[int, int], dict] = {}
-        for (i, p), ta in zip(lkeys, left):
-            for (j, q), tb in right:
-                if not i or not q:  # only k = 0, whose factor is 1
-                    _mul_into(out.setdefault((i + j, p + q), {}), ta, tb)
-                    continue
-                prod: dict = {}
-                _mul_into(prod, ta, tb)
-                for k in range(min(i, q) + 1):
-                    f = comb(i, k) * perm(q, k)
-                    _add_into(out.setdefault((i + j - k, p + q - k), {}), prod.items(), f)
-        den = _product_den(dl, dr)
-        zero = ring.zero()
-        rows: list[list] = [[] for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for (order, power), acc in out.items():
-            row = rows[order]
-            if len(row) <= power:
-                row.extend([zero] * (power + 1 - len(row)))
-            row[power] = _scalar(ring, acc, den)
-        return DiffOp._raw(ring, [XPoly._raw(ring, row) for row in rows])
+        return _compose(self, other, bracket=False)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, ParamScalar)):
@@ -443,19 +420,22 @@ class DiffOp(_Dense):
             out = out * self
         return out
 
-    def commutator(self, other: "DiffOp") -> "DiffOp":
-        return self * other - other * self
+    def commutator(self, other) -> "DiffOp":
+        """[self, other] = self*other - other*self; other may be any operand of a product."""
+        coerced = self._coerce(other)
+        if coerced is None:
+            raise TypeError(f"no commutator of DiffOp and {type(other).__name__}")
+        return _compose(self, coerced, bracket=True)
 
     def apply(self, p: XPoly) -> XPoly:
         """The operator applied to p: (c x^s D^i) x^q = c q!/(q-i)! x^(s+q-i), summed per power."""
         ring = self.ring
         _same_rings(ring, p.ring)
-        keys, scalars = _terms_of(self)
-        (left, dl), (right, dr) = _cleared(ring, scalars), _cleared(ring, p.coeffs)
+        (left, dl), (right, dr) = _symbol(self), _cleared(ring, p.coeffs)
         derivs: dict[int, list] = {}  # D-order i -> [(q - i, terms of q!/(q-i)! [x^q] p)]
-        accs = [{} for _ in range(len(right) + max((s for _, s in keys), default=0))]
+        accs = [{} for _ in range(len(right) + max((s for (_, s), _ in left), default=0))]
         # high D-orders, whose scaled terms are mostly ints, first: Fraction sums start late
-        for (i, s), ta in zip(keys[::-1], left[::-1]):
+        for (i, s), ta in reversed(left):
             if i not in derivs:
                 derivs[i] = [(q - i, _times(dict(tb), perm(q, i)).items() if i else tb)
                              for q, tb in enumerate(right[i:], i) if tb]
@@ -483,15 +463,62 @@ class DiffOp(_Dense):
         return neg, f"{body}*{d_part}"
 
 
-def _terms_of(op: DiffOp) -> tuple[list, list]:
-    """((D-order, x-power) keys, scalars) of the nonzero terms of op."""
+def _symbol(op: DiffOp) -> tuple[list, ParamPoly]:
+    """([((D-order, x-power), numerator terms)], d) over the nonzero coefficients of op."""
     keys, scalars = [], []
     for i, a in enumerate(op.coeffs):
         for p, c in enumerate(a.coeffs):
             if c:
                 keys.append((i, p))
                 scalars.append(c)
-    return keys, scalars
+    nums, d = _cleared(op.ring, scalars)
+    return list(zip(keys, nums)), d
+
+
+def _compose_into(out: dict, a: list, b: list, start: int, sign: int = 1) -> None:
+    """Add sign * sum_{k >= start} (d_xi^k a / k!)(d_x^k b) into out, one term pair at a time.
+
+    The pair (x^p xi^i, x^q xi^j) adds C(i,k) q!/(q-k)! x^(p+q-k) xi^(i+j-k)
+    times the product of its parameter terms, computed once for all its k;
+    out maps (D-order, x-power) to accumulated terms.
+    """
+    b = [(j, q, tb) for (j, q), tb in b if q >= start]
+    for (i, p), ta in a:
+        if i < start:
+            continue
+        for j, q, tb in b:
+            top = i if i < q else q
+            if not top:  # only k = 0, whose factor is 1
+                _mul_into(out.setdefault((i + j, p + q), {}), ta, tb)
+                continue
+            prod: dict = {}
+            _mul_into(prod, ta, tb)
+            terms = prod.items()
+            for k in range(start, top + 1):
+                f = sign * comb(i, k) * perm(q, k)
+                acc = out.setdefault((i + j - k, p + q - k), {})
+                for e, c in terms:
+                    acc[e] = acc.get(e, 0) + f * c
+
+
+def _compose(a: DiffOp, b: DiffOp, bracket: bool) -> DiffOp:
+    """a*b; with `bracket`, [a, b]: the sum from k = 1 for (a, b) and, negated, for (b, a)."""
+    ring = a.ring
+    if a.is_zero() or b.is_zero():
+        return DiffOp.zero(ring)
+    (left, dl), (right, dr) = _symbol(a), _symbol(b)
+    out: dict[tuple[int, int], dict] = {}
+    _compose_into(out, left, right, 1 if bracket else 0)
+    if bracket:
+        _compose_into(out, right, left, 1, -1)
+    den, zero = _product_den(dl, dr), ring.zero()
+    rows: list[list] = [[] for _ in range(len(a.coeffs) + len(b.coeffs) - 1)]
+    for (order, power), acc in out.items():
+        row = rows[order]
+        if len(row) <= power:
+            row.extend([zero] * (power + 1 - len(row)))
+        row[power] = _scalar(ring, acc, den)
+    return DiffOp._raw(ring, [XPoly._raw(ring, row) for row in rows])
 
 
 def build_square_form(V: XPoly, W: XPoly) -> DiffOp:

@@ -219,6 +219,7 @@ def test_dixmier_rejects_other_ranks():
 # -- randomized operator laws ----------------------------------------------------------
 
 _RING = ParamRing(("A2", "B2"))
+_Q = ParamRing(())
 _A2, _B2 = _RING.param("A2"), _RING.param("B2")
 # zero often, so operators stay sparse
 _POLYNOMIAL = (0, 0, 0, 1, -2, Fraction(3, 2), _A2, _B2, _A2 * _B2 - 1)
@@ -324,8 +325,20 @@ def test_family_compositions_match_leibniz_reference():
     L, M = dixmier_pair(3)
     ring, V, W = build_family(FamilySpec("thm2", {"g": 2}))
     S = build_square_form(V, W)
-    for a, b in ((L, M), (M, L), (L, L), (S, S), (S, DiffOp.d(ring, 3))):
+    T = build_square_form(*build_family(FamilySpec("thm1", {"g": 1}))[1:])
+    for a, b in ((L, M), (M, L), (L, L), (M, M), (S, S), (T, T), (S, DiffOp.d(ring, 3))):
         assert a * b == leibniz_compose(a, b)
+    assert L**3 == leibniz_compose(leibniz_compose(L, L), L)
+    # (D + 2x)^k on either side of D + 2x up to k = 18, and (D + 2x)^9 squared, whose
+    # term pairs reach every k up to 9
+    op = DiffOp.d(_Q) + 2 * XPoly.x(_Q)
+    power = op
+    for k in range(1, 19):
+        assert power * op == leibniz_compose(power, op)
+        assert op * power == leibniz_compose(op, power)
+        if k == 9:
+            assert power * power == leibniz_compose(power, power)
+        power = power * op
 
 
 @settings(max_examples=30, deadline=None)
@@ -345,9 +358,6 @@ def naive_xpoly_mul(a: XPoly, b: XPoly) -> XPoly:
         for j, cb in enumerate(b.coeffs):
             out[i + j] = out[i + j] + ca * cb
     return XPoly(a.ring, out)
-
-
-_Q = ParamRing(())
 
 
 @settings(max_examples=60, deadline=None)
@@ -379,6 +389,61 @@ def test_commutator_jacobi(a, b, c):
         + c.commutator(a.commutator(b))
     )
     assert total.is_zero()
+
+
+@st.composite
+def q_ops(draw):
+    rows = draw(st.lists(st.lists(st.fractions(max_denominator=9), max_size=6), max_size=5))
+    return DiffOp(_Q, [XPoly(_Q, row) for row in rows])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ops(),
+    st.one_of(
+        ops(), xpolys(), st.integers(-3, 3), st.sampled_from((_A2, _A2 * _B2 - 1, 1 / (_A2 + 1)))
+    ),
+    q_ops(),
+    st.one_of(
+        q_ops(), st.builds(lambda cs: XPoly(_Q, cs), st.lists(st.fractions(max_denominator=9)))
+    ),
+)
+def test_commutator_is_the_difference_of_products(a, b, qa, qb):
+    # over Q(A2, B2) with parameter denominators and over Q; an int, scalar or
+    # x-polynomial operand is the operator it promotes to
+    for x, y in ((a, b), (qa, qb)):
+        bracket, reference = x.commutator(y), x * y - y * x
+        assert bracket == reference and hash(bracket) == hash(reference)
+
+
+def test_commutator_refuses_what_a_product_refuses():
+    ring, other = ParamRing(("A",)), ParamRing(("B",))
+    L = DiffOp.d(ring, 2) + XPoly.x(ring)
+    for bad in ("D", 1.5):
+        with pytest.raises(TypeError):
+            L.commutator(bad)
+    for foreign in (DiffOp.d(other), XPoly.x(other), other.param("B")):
+        with pytest.raises(ValueError, match="mixed parameter rings"):
+            L.commutator(foreign)
+
+
+def test_named_commutators():
+    S = build_square_form(*build_family(FamilySpec("thm1", {"g": 1}))[1:])
+    for k in (2, 3):
+        assert S.commutator(S**k).is_zero()
+    L = DiffOp.d(_Q, 2) + XPoly.x(_Q) ** 2
+    for k in (10, 14, 18):
+        M = (DiffOp.d(_Q) + 2 * XPoly.x(_Q)) ** k
+        bracket = L.commutator(M)
+        assert bracket == L * M - M * L and not bracket.is_zero()
+
+
+def test_commutator_builds_no_product(monkeypatch):
+    L, M = dixmier_pair(3)
+    calls = _count_products(monkeypatch, DiffOp)
+    assert L.commutator(M).is_zero()
+    assert DiffOp.d(L.ring).commutator(XPoly.x(L.ring)) == DiffOp.identity(L.ring)
+    assert not calls
 
 
 @settings(max_examples=60, deadline=None)
