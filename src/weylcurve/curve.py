@@ -121,21 +121,21 @@ def _taylor_f(coeffs: Sequence[XPoly], V: XPoly, W: XPoly) -> XPoly:
     V_0 = V(0), V_1 = V'(0), W_0 = W(0), the x = 0 value of the module
     formula divided by 4 is
 
-      F = (z - W_0) t_0^2 - V_0 t_1^2 + t_2^2 - 3 t_1 t_3
-          + t_0 (V_1 t_1 + 4 V_0 t_2 + 12 t_4),
+      F = t_0 ((z - W_0) t_0 + V_1 t_1 + 4 V_0 t_2 + 12 t_4)
+          + t_2^2 - V_0 t_1^2 - 3 t_1 t_3,
 
-    six XPoly products in z; the squares t_0^2, t_1^2 and t_2^2 take the
-    product kernel's square path.
+    grouped so that t_0 takes one full product.  t_1 = t_3 = 0 when V and W
+    are even, and t_2 = 0 on thm1; a product with a zero factor returns at
+    once.
     """
     ring = V.ring
     t0, t1, t2, t3, t4 = (XPoly._raw(ring, [c.coefficient(k) for c in coeffs]) for k in range(5))
     V0, V1, W0 = V.coefficient(0), V.coefficient(1), W.coefficient(0)
     return (
-        t0 * t0 * XPoly(ring, [-W0, 1])
-        - (t1 * t1).scale(V0)
+        t0 * (XPoly(ring, [-W0, 1]) * t0 + t1.scale(V1) + t2.scale(4 * V0) + t4.scale(12))
         + t2 * t2
+        - (t1 * t1).scale(V0)
         - (t1 * t3).scale(3)
-        + t0 * (t1.scale(V1) + t2.scale(4 * V0) + t4.scale(12))
     )
 
 

@@ -11,7 +11,9 @@ other operands arithmetic and equality promote to a one-entry value
 its own products and calculus:
 
 - ``XPoly`` is a dense polynomial in the variable x whose entries are exact
-  parameter scalars; it adds products, powers, derivatives and integrals.
+  parameter scalars; it adds powers, derivatives and integrals.  It has no
+  product of its own: an XPoly is an operator of order 0, and its products
+  are compositions of such operators.
 - ``DiffOp`` is a differential operator written in normal form
   sum_i c_i(x) D^i with D = d/dx and XPoly entries; it adds composition,
   commutators and application to an XPoly.
@@ -25,7 +27,8 @@ commutative polynomial sum_i c_i(x) xi^i, and with a, b the symbols of A, B
 
     A B = sum_{k>=0} (d_xi^k a / k!) (d_x^k b),
 
-a sum of commutative products.  For one pair of terms x^p xi^i and x^q xi^j
+a sum of commutative products; for two operators of order 0 it is the
+k = 0 product alone.  For one pair of terms x^p xi^i and x^q xi^j
 the k-th summand is C(i,k) q!/(q-k)! x^(p+q-k) xi^(i+j-k), so each pair costs
 one product of parameter polynomials, shared by all its k.  The commutator
 [A, B] runs the sum from k = 1 for (a, b) and, negated, for (b, a): the k = 0
@@ -34,9 +37,10 @@ pair with j = 0 is x^p D^i applied to x^q, which ``DiffOp.apply`` sums.
 
 The products and ``apply`` run on the terms dicts of the coefficient numerators
 and build scalar objects once, at the end, through the kernels of
-``scalars.py`` (``_mul_into``, ``_add_into``, ``_poly``); this module keeps
+``scalars.py`` (``_mul_into``, ``_times``, ``_poly``); this module keeps
 only the bookkeeping of x-powers and D-orders.  A denominator other than 1 is
-handled by clearing denominators: the parameters are constants for D, so with
+handled by clearing denominators, and ``_symbol`` is the one cleared form of
+an operand: the parameters are constants for D, so with
 N/d the coefficients of an operand over their lcm d, (N_L/d_L)(N_R/d_R) =
 (N_L N_R)/(d_L d_R), and each result coefficient is then reduced by
 ``ParamScalar``.  Degrees and orders use None for the zero element.
@@ -55,7 +59,6 @@ from .scalars import (
     RatLike,
     _Powers,
     _Subtraction,
-    _add_into,
     _clear_denominators,
     _coerce_scalar,
     _join_term,
@@ -90,12 +93,6 @@ def dense_mul(a, b, zero) -> list:
             acc = out[i + j]
             out[i + j] = term if acc is None else acc + term
     return [zero if c is None else c for c in out]
-
-
-def _cleared(ring: ParamRing, scalars) -> tuple[list, ParamPoly]:
-    """(numerator term lists, d) with scalars[i] == numerators[i] / d."""
-    nums, d = _clear_denominators(ring, scalars)
-    return [list(n.terms.items()) for n in nums], d
 
 
 def _product_den(dl: ParamPoly, dr: ParamPoly) -> ParamPoly:
@@ -258,34 +255,14 @@ class XPoly(_Dense, _Powers):
     # -- arithmetic ------------------------------------------------------------
 
     def __mul__(self, other):
+        """The product as a composition of order-0 operators."""
         if isinstance(other, (int, Fraction, ParamScalar)):
             return self.scale(other)
         if not isinstance(other, XPoly):
             return NotImplemented
         ring = self.ring
         _same_rings(ring, other.ring)
-        if not self.coeffs or not other.coeffs:
-            return XPoly._raw(ring, [])
-        # a square takes each cross product a_i a_j (i < j) once, doubled below
-        square = other is self
-        left, dl = _cleared(ring, self.coeffs)
-        right, dr = (left, dl) if square else _cleared(ring, other.coeffs)
-        right = [(j, tb) for j, tb in enumerate(right) if tb]
-        accs = [{} for _ in range(len(left) + len(other.coeffs) - 1)]
-        cross = [{} for _ in accs] if square else accs
-        for i, ta in enumerate(left):
-            if ta:
-                for j, tb in right:
-                    if j > i or not square:
-                        _mul_into(cross[i + j], ta, tb)
-                    elif j == i:
-                        _mul_into(accs[2 * i], ta, ta)
-        if square:
-            for acc, twice in zip(accs, cross):
-                _add_into(acc, twice.items(), 2)
-        den = _product_den(dl, dr)
-        zero = ring.zero()
-        return XPoly._raw(ring, [_scalar(ring, acc, den) if acc else zero for acc in accs])
+        return _compose(DiffOp._raw(ring, [self]), DiffOp._raw(ring, [other]), False).coefficient(0)
 
     __rmul__ = __mul__
 
@@ -431,14 +408,14 @@ class DiffOp(_Dense):
         """The operator applied to p: (c x^s D^i) x^q = c q!/(q-i)! x^(s+q-i), summed per power."""
         ring = self.ring
         _same_rings(ring, p.ring)
-        (left, dl), (right, dr) = _symbol(self), _cleared(ring, p.coeffs)
+        (left, dl), (right, dr) = _symbol(self), _symbol(DiffOp._raw(ring, [p]))
         derivs: dict[int, list] = {}  # D-order i -> [(q - i, terms of q!/(q-i)! [x^q] p)]
-        accs = [{} for _ in range(len(right) + max((s for (_, s), _ in left), default=0))]
+        accs = [{} for _ in range(len(p.coeffs) + max((s for (_, s), _ in left), default=0))]
         # high D-orders, whose scaled terms are mostly ints, first: Fraction sums start late
         for (i, s), ta in reversed(left):
             if i not in derivs:
                 derivs[i] = [(q - i, _times(dict(tb), perm(q, i)).items() if i else tb)
-                             for q, tb in enumerate(right[i:], i) if tb]
+                             for (_, q), tb in right if q >= i]
             for r, tb in derivs[i]:
                 _mul_into(accs[s + r], ta, tb)
         den, zero = _product_den(dl, dr), ring.zero()
@@ -471,8 +448,8 @@ def _symbol(op: DiffOp) -> tuple[list, ParamPoly]:
             if c:
                 keys.append((i, p))
                 scalars.append(c)
-    nums, d = _cleared(op.ring, scalars)
-    return list(zip(keys, nums)), d
+    nums, d = _clear_denominators(op.ring, scalars)
+    return [(key, list(n.terms.items())) for key, n in zip(keys, nums)], d
 
 
 def _compose_into(out: dict, a: list, b: list, start: int, sign: int = 1) -> None:

@@ -14,6 +14,7 @@ from weylcurve import (
     ParamPoly,
     ParamRing,
     QPoly,
+    SpectralCurve,
     XPoly,
     build_family,
     build_square_form,
@@ -40,6 +41,15 @@ def test_xpoly_construction_and_queries():
     assert XPoly.zero(ring).degree is None
     assert XPoly.const(ring, 5).constant_value() == 5
     assert p.free_params() == {"A6"}
+    # products: a zero operand gives zero, another ring is refused, and a
+    # subclass operand gives a plain XPoly
+    zero = XPoly.zero(ring)
+    assert (p * zero).is_zero() and (zero * p).is_zero() and (zero * zero).is_zero()
+    with pytest.raises(ValueError, match="mixed parameter rings"):
+        p * XPoly.x(ParamRing(("B",)))
+    curve = SpectralCurve(ring, [ring.param("A6"), 0, 1])
+    for product in (curve * p, p * curve):
+        assert type(product) is XPoly and product == XPoly(ring, curve.coeffs) * p
 
 
 def test_dense_containers_share_their_plumbing():
@@ -281,6 +291,13 @@ def _count_products(monkeypatch, cls) -> list:
 
 def test_polynomial_power_squares_up_to_its_top_bit(monkeypatch):
     p = ParamPoly(_RING, {(1, 0): 1, (0, 1): Fraction(3, 2), (0, 0): -1})
+    x = XPoly(_RING, [-1, Fraction(3, 2), _A2])
+    compositions = _count_products(monkeypatch, DiffOp)
+    x_calls = _count_products(monkeypatch, XPoly)
+    x8 = x**8
+    assert len(x_calls) == 3 and x8 == naive_xpoly_mul(x**4, x**4)
+    # x-polynomial products compose order-0 symbols without a DiffOp product
+    assert x * x8 == naive_xpoly_mul(x, x8) and not compositions
     calls = _count_products(monkeypatch, ParamPoly)
     p8 = p**8
     assert len(calls) == 3  # p^2, p^4, p^8; no square past the top bit
