@@ -25,6 +25,16 @@ denominators and treat z as one more ring variable, so they run on
 Q[params][z], with factors made monic over Q(params) at the end.  Those gcds
 are heuristic ones (GCDHEU) accepted only after exact division, so they stay
 fast with several parameters.
+Before Yun, ``curve_structure`` tries to prove a symbolic F squarefree at one
+point: the parameters at 3, 5, 7, ... and the coefficients modulo the prime
+p = 2^61 - 1.  When every coefficient reduces there and gcd(F(c), F'(c)) = 1
+in F_p[z], disc F(c) is nonzero mod p, so disc F != 0 and F is squarefree;
+this answers the diagonal members (m = g) without a multivariate gcd.  Any
+other outcome (a denominator that vanishes at the point, or a common factor
+of F(c) and F'(c) that F itself may lack) proves nothing, and Yun decides.
+Over Q the check is skipped: there F(c) = F, and the univariate gcd it would
+save costs only a few times the check, while most numeric curves have a
+repeated factor and would pay for both.
 ``solve_pair`` runs the whole decision for one (V, W, m), from the chain
 to F.
 """
@@ -34,6 +44,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
+from math import prod
 from typing import Iterable, Mapping, Sequence
 
 from .scalars import (
@@ -282,15 +294,77 @@ class SingularityReport:
     witness: tuple[int | Fraction, ...] | None
 
 
+_P = (1 << 61) - 1  # a Mersenne prime
+
+
+def _mod_p(poly: ParamPoly, point: Sequence[int]) -> int | None:
+    """poly(point) mod p; None when a coefficient's denominator is divisible by p."""
+    total = 0
+    for exp, c in poly.terms.items():
+        if type(c) is not int:
+            if not c.denominator % _P:
+                return None
+            c = c.numerator * pow(c.denominator, -1, _P)
+        total += c % _P * prod(map(pow, point, exp, repeat(_P)))
+    return total % _P
+
+
+def _rem_mod_p(a: list[int], b: list[int]) -> list[int]:
+    """a mod b in F_p[z], ascending coefficients; b's last entry is nonzero."""
+    a = a[:]
+    n = len(b) - 1
+    inverse = pow(b[-1], -1, _P)
+    for top in range(len(a) - 1, n - 1, -1):
+        q = a[top] * inverse % _P
+        if q:
+            for i in range(n + 1):
+                a[top - n + i] = (a[top - n + i] - q * b[i]) % _P
+    del a[n:]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _squarefree_mod_p(curve: SpectralCurve) -> bool:
+    """True only when F is proved squarefree at the point (3, 5, 7, ...) mod p.
+
+    Each coefficient num/den reduces to F_p when den does not vanish there
+    and no rational denominator is divisible by p; the reduction is then a
+    ring map, F(c) is monic of the same degree, and gcd(F(c), F'(c)) = 1
+    means disc F(c) != 0 mod p, so disc F != 0.  False proves nothing.
+    """
+    if curve.degree >= _P:
+        return False
+    point = range(3, 2 * len(curve.ring) + 3, 2)
+    f = []
+    for c in curve.coeffs:
+        num, den = _mod_p(c.num, point), _mod_p(c.den, point)
+        if num is None or not den:
+            return False
+        f.append(num * pow(den, -1, _P) % _P)
+    a, b = f, [k * c % _P for k, c in enumerate(f)][1:]
+    while b:
+        a, b = b, _rem_mod_p(a, b)
+    return len(a) == 1
+
+
 def curve_structure(curve: SpectralCurve) -> tuple[tuple[tuple[ParamScalar, ...], int], ...]:
     """Squarefree decomposition F = prod_i P_i^i over the parameter field.
 
     Returns ((coeffs_of_P_i, i), ...) for the nonconstant P_i, ascending in
     multiplicity; the decomposition is exact for the symbolic coefficients as
     given (specializing parameters can merge roots further).
+
+    When F has parameters, ``_squarefree_mod_p`` first tries to prove it
+    squarefree at one point modulo a prime, and a proof returns ((F, 1),),
+    what Yun gives when gcd(F, F') is constant.  A check that fails proves
+    nothing, and Yun's algorithm runs as it would without it.  Over Q the
+    check is not tried (see the module docstring).
     """
     if curve.degree == 0:
         return ()
+    if len(curve.ring) and _squarefree_mod_p(curve):
+        return ((curve.coeffs, 1),)
     f, fp, a0 = _lift_gcd(curve)
     if _deg_in_idx(a0, -1) == 0:
         return ((curve.coeffs, 1),)

@@ -23,6 +23,7 @@ from weylcurve import (
     spectral_curve,
 )
 from weylcurve import curve as curve_module
+from weylcurve import scalars as scalar_module
 from weylcurve.chain import QPoly
 from weylcurve.weyl import dense_mul
 
@@ -298,3 +299,90 @@ def test_render_zpoly():
     ring = ParamRing(("A2",))
     text = render_zpoly((ring.const(5), ring.param("A2"), ring.one()))
     assert text == "z^2 + (A2)*z + 5"
+
+
+# -- the squarefree check at one point modulo p ------------------------------------
+
+
+def yun_structure(curve: SpectralCurve):
+    """curve_structure with the point check turned off: Yun's split alone."""
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(curve_module, "_squarefree_mod_p", lambda curve: False)
+        return curve_structure(curve)
+
+
+def curve_from_factors(factors) -> SpectralCurve:
+    ring = ROOT_RING
+    coeffs = [ring.one()]
+    for f in factors:
+        coeffs = dense_mul(coeffs, [ring.zero() + c for c in f], ring.zero())
+    return SpectralCurve(ring, tuple(coeffs))
+
+
+# the check evaluates A at 3, where 1/(A - 3) has a pole
+FACTOR_SCALARS = CURVE_SCALARS + (1 / (_A - 3),)
+
+
+@st.composite
+def factored_curves(draw):
+    """(F, repeated): F = prod P_i^(m_i) for monic P_i over Q(A, B), and whether
+    some P_i is repeated, by its multiplicity or by being drawn twice."""
+    lows = st.lists(st.sampled_from(FACTOR_SCALARS), min_size=1, max_size=2)
+    drawn = draw(st.lists(st.tuples(lows, st.sampled_from((1, 1, 2, 3))), min_size=1, max_size=3))
+    polys = [(*low, 1) for low, _ in drawn]
+    repeated = any(mult > 1 for _, mult in drawn) or len(set(polys)) < len(polys)
+    return curve_from_factors(p for p, (_, mult) in zip(polys, drawn) for _ in range(mult)), repeated
+
+
+@settings(max_examples=60, deadline=None)
+@given(factored_curves())
+def test_point_check_proves_only_squarefree_curves(case):
+    curve, repeated = case
+    proved = curve_module._squarefree_mod_p(curve)
+    if repeated:
+        assert not proved
+    yun = yun_structure(curve)
+    if proved:
+        assert yun == ((curve.coeffs, 1),)
+    assert curve_structure(curve) == yun
+
+
+
+@pytest.mark.parametrize(
+    "factors,multiplicities",
+    [
+        # a coefficient denominator that vanishes at the point
+        ([[-1 / (_A - 3), 1], [-_B, 1], [1, 1]], [1]),
+        ([[-1 / (_A - 3), 1], [-1 / (_A - 3), 1], [-_B, 1]], [1, 2]),
+        # z (z^2 - (A - 3)): F(c) = z^3 has a triple root that F lacks
+        ([[0, 1], [3 - _A, 0, 1]], [1]),
+        # a rational coefficient whose denominator is p
+        ([[-_A, 1], [Fraction(-1, curve_module._P), 1], [_B, 1]], [1]),
+    ],
+)
+def test_unlucky_points_fall_through_to_yun(factors, multiplicities):
+    curve = curve_from_factors(factors)
+    assert not curve_module._squarefree_mod_p(curve)
+    structure = curve_structure(curve)
+    assert [mult for _, mult in structure] == multiplicities
+    assert structure == yun_structure(curve)
+
+
+def test_point_check_spares_the_gcds_of_a_squarefree_curve(monkeypatch):
+    _, _, _, squarefree = solved_family("thm2", {"g": 2}, 2)
+    _, _, _, repeated = solved_family("thm1", {"g": 1}, 3)
+    calls = []
+    gcd = scalar_module.mpoly_gcd
+
+    def counted(a, b):
+        calls.append(1)
+        return gcd(a, b)
+
+    monkeypatch.setattr(scalar_module, "mpoly_gcd", counted)
+    monkeypatch.setattr(curve_module, "mpoly_gcd", counted)
+    assert curve_structure(squarefree) == ((squarefree.coeffs, 1),)
+    assert not calls
+    structure = curve_structure(repeated)
+    with_check = len(calls)
+    assert structure == yun_structure(repeated)
+    assert with_check > 0 and len(calls) == 2 * with_check
