@@ -2,8 +2,10 @@
 
 The pipeline: build a potential pair (V, W), run the order-reduction chain to
 a target degree m, solve the closing conditions for the integration
-constants, assemble the certificate polynomial Q, and evaluate the
-hyperelliptic spectral curve w^2 = F(z) with its singularity structure.
+constants, check the solved values against every condition, and read the
+hyperelliptic spectral curve w^2 = F(z) off the x^0 .. x^4 part of the
+certificate polynomial Q, then analyse its singularity structure.  Q in full
+is assembled only on request.
 """
 
 from .scalars import (

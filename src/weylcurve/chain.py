@@ -23,14 +23,15 @@ recursion u_0 = W/2, u_{k+1} = T(u_k), and v_0 = 1, v_k = u_{k-1} - W(0)/2
 v_{k-1} = T(v_{k-1}).  The chain closes iff a_{m+1} can be made constant in
 x, and its x^p coefficient [x^p] u_m + sum_{j<=m} C_j [x^p] v_{m+1-j} is
 linear in C_1 ... C_m.  So this module runs m rungs over the ring of V and W
-alone, reads the linear system off the sequence, solves it exactly over the
-field of that ring in one Gauss-Jordan pass over affine forms in the
-constants, and checks the solved values against every condition
-(``closed_jets``).  The spectral curve reads only x^0 .. x^4 of Q, so that
-check returns Q's coefficients cut there; Q in full, a linear combination of
-the sequence, is assembled only on request (``assemble_q``).  No coefficient
-of the system mentions a constant, so the constants appear as ring variables
-only in the printed assignment, where free ones remain.
+alone, reads the linear system off the sequence, and solves it exactly over
+the field of that ring in one Gauss-Jordan pass over affine forms in the
+constants.  One closing check, ``_solved_values``, evaluates every condition
+at the solved values, and both ways to Q's coefficients pass through it: the
+spectral curve reads only x^0 .. x^4 of Q, which ``closed_jets`` returns,
+and Q in full, a linear combination of the sequence, is assembled only on
+request (``assemble_q``).  No coefficient of the system mentions a constant,
+so the constants appear as ring variables only in the printed assignment,
+where free ones remain.
 """
 
 from __future__ import annotations
@@ -330,15 +331,19 @@ def solve_constants(system: ConstraintSystem) -> SolveOutcome:
 
 
 def _solved_values(
-    chain: QChain,
+    system: ConstraintSystem,
     outcome: SolveOutcome,
     free_values: Mapping[str, RatLike] | None,
 ) -> list:
-    """The values c_1 ... c_{m+1} of the constants, over the ring of V and W.
+    """The values c_1 ... c_{m+1} of the constants, checked to close the chain.
 
     A free constant takes its value in free_values (default 0), a pinned one
     its form at those values, and C_{m+1}, which only shifts Q by a scalar,
-    the canonical representative 0.
+    the canonical representative 0.  This is the one closing check: every
+    condition of `system` is evaluated at the values, over the ring of V and
+    W, and a nonzero one raises ChainError.  It is the whole certificate:
+    a_{m+1} is x-free iff every condition holds, and then the residual of Q
+    vanishes by the telescoping argument of the module docstring.
     """
     if not outcome.feasible:
         raise ChainError("cannot assemble Q from an infeasible outcome")
@@ -346,13 +351,26 @@ def _solved_values(
     for name in free_values:
         if name not in outcome.free:
             raise ChainError(f"{name!r} is not a free constant of this chain")
-    values = [free_values.get(name, 0) for name in chain.constants[:-1]] + [0]
-    for j, name in enumerate(chain.constants[:-1]):
-        form = outcome.forms.get(name)
-        if form is not None:
-            values[j] = sum((c._scale(free_values[key]) for key, c in form.items()
-                             if free_values.get(key)), form.get(None, 0))
-    return values
+    values = {name: free_values.get(name, 0) for name in system.unknowns}
+    for name, form in outcome.forms.items():
+        values[name] = sum((c._scale(free_values[key]) for key, c in form.items()
+                            if free_values.get(key)), form.get(None, 0))
+    for eq in system.equations:
+        total = eq.constant
+        for name, c in eq.coeffs:
+            if values[name]:
+                total = total + c * values[name]
+        if total:
+            raise ChainError("closing entry stayed x-dependent after substitution")
+    return list(values.values()) + [0]
+
+
+def _q_coeffs(chain: QChain, values: list, top: int | None = None) -> list[XPoly]:
+    """The z-coefficients a_m, ..., a_1, 1 of Q at the values c_j; with `top`,
+    u and v, and so each a_i, are cut to x^0 .. x^(top - 1)."""
+    ring = chain.V.ring
+    u, v = ([XPoly._raw(ring, list(p.coeffs[:top])) for p in seq] for seq in (chain.u, chain.v))
+    return [_combine(u, v, values, i) for i in range(chain.m, 0, -1)] + [XPoly.const(ring, 1)]
 
 
 def assemble_q(
@@ -363,15 +381,11 @@ def assemble_q(
     """Build Q over the ring of V and W from the solved constants.
 
     Free constants default to 0 unless overridden.  With the values c_j,
-    a_i = u_{i-1} + sum_{j<=i} c_j v_{i-j}.  The closing entry a_{m+1} must
-    come out x-constant; anything else is a logic error.
+    a_i = u_{i-1} + sum_{j<=i} c_j v_{i-j}, once the closing check of
+    ``_solved_values`` passes on the chain's conditions.
     """
-    values = _solved_values(chain, outcome, free_values)
-    entries = [_combine(chain.u, chain.v, values, i) for i in range(1, chain.m + 2)]
-    if not entries[-1].is_constant():
-        raise ChainError("closing entry stayed x-dependent after substitution")
-    ring = chain.V.ring
-    return QPoly._raw(ring, entries[-2::-1] + [XPoly.const(ring, 1)])
+    values = _solved_values(extract_constraints(chain), outcome, free_values)
+    return QPoly._raw(chain.V.ring, _q_coeffs(chain, values))
 
 
 def closed_jets(
@@ -381,28 +395,11 @@ def closed_jets(
     free_values: Mapping[str, RatLike] | None = None,
 ) -> tuple[XPoly, ...]:
     """The z-coefficients a_m, ..., a_1, 1 of Q cut to x^0 .. x^4, once the
-    solved values are checked to close the chain.
+    solved values pass the closing check of ``_solved_values``.
 
-    Every closing condition is evaluated at the values of ``assemble_q`` over
-    the ring of V and W; a nonzero one raises ChainError.  That check is the
-    whole certificate: a_{m+1} is x-free iff every condition holds, and then
-    the residual of Q vanishes by the telescoping argument of the module
-    docstring.  The x^0 .. x^4 part of a_i takes only that part of u and v.
+    The x^0 .. x^4 part of a_i takes only that part of u and v.
     """
-    values = _solved_values(chain, outcome, free_values)
-    at = dict(zip(chain.constants, values))
-    for eq in system.equations:
-        total = eq.constant
-        for name, c in eq.coeffs:
-            if at[name]:
-                total = total + c * at[name]
-        if total:
-            raise ChainError("closing entry stayed x-dependent after substitution")
-    ring = chain.V.ring
-    u = [XPoly._raw(ring, list(p.coeffs[:5])) for p in chain.u]
-    v = [XPoly._raw(ring, list(p.coeffs[:5])) for p in chain.v]
-    jets = [_combine(u, v, values, i) for i in range(chain.m, 0, -1)]
-    return tuple(jets) + (XPoly.const(ring, 1),)
+    return tuple(_q_coeffs(chain, _solved_values(system, outcome, free_values), 5))
 
 
 def residual_eq2(Q: QPoly, V: XPoly, W: XPoly) -> QPoly:

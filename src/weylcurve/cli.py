@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .scalars import ParamRing, PoleError
 from .weyl import XPoly
-from .chain import ChainError, recursion_step
+from .chain import ChainError
 from .curve import (
     PairSolution,
     SpectralCurve,
@@ -35,8 +35,8 @@ from .families import (
     COEFFICIENT_SYMBOLS,
     FAMILIES,
     KINDS,
+    ORACLE_KINDS,
     PAIR_RANKS,
-    STEP_CONSTANT,
     DegreeResult,
     FamilySpec,
     FamilySpecError,
@@ -44,10 +44,8 @@ from .families import (
     build_family,
     family_pair,
     probe_degrees,
+    rung_oracle,
     run_family_verdict,
-    thm1_monomial_step,
-    thm2_monomial_step,
-    thm3_monomial_step,
 )
 from .parsing import ExprError, parse_diffop, parse_xpoly
 
@@ -173,7 +171,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-check", help="compare chain rungs against closed forms")
     common(p, pair_input=False)
-    p.add_argument("--family", choices=tuple(_ORACLES), required=True)
+    p.add_argument("--family", choices=ORACLE_KINDS, required=True)
     p.add_argument("--g", type=int, help="g for thm1/thm2")
     p.add_argument("--n", type=int, help="n for thm3")
     p.add_argument("--k-range", default="0:6", help="inclusive LO:HI of rung inputs (default 0:6)")
@@ -209,10 +207,13 @@ def job_from_args(args: argparse.Namespace) -> JobSpec:
     l_text = getattr(args, "l_text", None)
     m_text = getattr(args, "m_text", None)
     params_text = getattr(args, "params", None)
+    infile = getattr(args, "infile", None)
     family_kind = getattr(args, "family", None)
+    if job.command == "commutator" and (v_text is not None or w_text is not None):
+        raise CliInputError("commutator takes --L and --M, not --V or --W")
     if family_kind is not None:
-        given = [flag for flag, text in zip(("--V", "--W", "--L", "--M", "--params"),
-                 (v_text, w_text, l_text, m_text, params_text)) if text is not None]
+        given = [flag for flag, text in zip(("--V", "--W", "--L", "--M", "--params", "--in"),
+                 (v_text, w_text, l_text, m_text, params_text, infile)) if text is not None]
         if given:
             raise CliInputError(f"{', '.join(given)} cannot be combined with --family")
         if job.command == "verdict" and family_kind in PAIR_RANKS:
@@ -237,11 +238,16 @@ def job_from_args(args: argparse.Namespace) -> JobSpec:
 
     inline = any(t is not None for t in (v_text, w_text, l_text, m_text))
     if inline:
+        if infile is not None:
+            raise CliInputError("--in cannot be combined with inline --V, --W, --L or --M")
         job.params = _split_params(params_text)
         job.v_text, job.w_text = v_text, w_text
         job.l_text, job.m_text = l_text, m_text
     else:
-        doc = _load_document(getattr(args, "infile", None))
+        if params_text is not None:
+            raise CliInputError("--params declares the names of inline operands; "
+                                "a document gives its own 'params'")
+        doc = _load_document(infile)
         job.params = _split_params(doc.get("params"))
         for key in ("V", "W", "L", "M"):
             if doc.get(key) is not None and not isinstance(doc[key], str):
@@ -503,11 +509,10 @@ def _run_singular(job: JobSpec) -> tuple[int, dict]:
         result["repeated_root_poly"] = (
             render_zpoly(verdict.witness) if verdict.witness else None
         )
-    report = {
-        "command": "singular",
-        "inputs": {**echo, "m": m, "bind": {k: str(v) for k, v in sorted(job.bindings.items())}},
-        "result": result,
-    }
+    inputs = {**echo, "m": m, "bind": {k: str(v) for k, v in sorted(job.bindings.items())}}
+    if job.free_values:  # echoed only when given, so reports without one keep their bytes
+        inputs["free_const"] = {k: str(v) for k, v in sorted(job.free_values.items())}
+    report = {"command": "singular", "inputs": inputs, "result": result}
     return (1 if curve is None else 0), report
 
 
@@ -520,6 +525,8 @@ def _run_scan(job: JobSpec) -> tuple[int, dict]:
         raise CliInputError("scan needs --m-range")
     kind = job.family.kind
     if job.g_range is not None:
+        if job.family.shape("g") is not None:
+            raise CliInputError("--g cannot be combined with --g-range")
         # a family that does not take g refuses these when they are built
         lo, hi = job.g_range
         specs = [FamilySpec(kind, {**job.family.parameters, "g": g}) for g in range(lo, hi + 1)]
@@ -559,18 +566,6 @@ def _run_scan(job: JobSpec) -> tuple[int, dict]:
     return 0, report
 
 
-# Closed-form rung images by family: (stride, image of x^(stride k)), the
-# image given the ring, k, the family spec and W.
-_ORACLES = {
-    "thm1": (4, lambda ring, k, spec, W: thm1_monomial_step(
-        ring, k, spec.shape("g"), ring.param("A6"), ring.param("A2"))),
-    "thm2": (2, lambda ring, k, spec, W: thm2_monomial_step(
-        ring, k, spec.shape("g"), ring.param("A4"), ring.param("A2"), ring.param("A0"))),
-    "thm3": (1, lambda ring, k, spec, W: thm3_monomial_step(
-        ring, k, spec.shape("n"), ring.param("A"), W.coefficient(spec.shape("n") - 2))),
-}
-
-
 def _run_oracle_check(job: JobSpec) -> tuple[int, dict]:
     spec = job.family
     kind = spec.kind
@@ -583,32 +578,12 @@ def _run_oracle_check(job: JobSpec) -> tuple[int, dict]:
         raise CliInputError(f"oracle-check {kind} needs --g >= 1")
     if "n" in shape_keys and (n is None or n <= 3):
         raise CliInputError(f"oracle-check {kind} needs --n > 3")
-    parameters = dict(spec.parameters)
-    if "m" in shape_keys:
-        # B is irrelevant to a single rung input; fix the admissible m=1 form.
-        parameters["m"] = 1
-    ring, V, W = build_family(FamilySpec(kind, parameters))
-    ring2 = ring.extend((STEP_CONSTANT,))
-    V = V.lift(ring2)
-    W = W.lift(ring2)
-    stride, closed_form = _ORACLES[kind]
-    rows = []
-    all_agree = True
-    for k in range(lo, hi + 1):
-        power = stride * k
-        got = recursion_step(XPoly.monomial(ring2, power), V, W, STEP_CONSTANT)
-        want = closed_form(ring2, k, spec, W)
-        agree = got == want
-        all_agree = all_agree and agree
-        rows.append(
-            {
-                "k": k,
-                "input_power": power,
-                "recursion": str(got),
-                "closed_form": str(want),
-                "agree": agree,
-            }
-        )
+    rows = [
+        {"k": k, "input_power": power, "recursion": str(got), "closed_form": str(want),
+         "agree": got == want}
+        for k, power, got, want in rung_oracle(spec, range(lo, hi + 1))
+    ]
+    all_agree = all(row["agree"] for row in rows)
     report = {
         "command": "oracle-check",
         "inputs": {

@@ -14,8 +14,9 @@ The x-derivative of the right side is 2 Q R with R the closure residual
 ``residual_eq2(Q, V, W)``, so once R = 0 F is read off at x = 0, from the
 x^0 .. x^4 part of Q alone; the expansion in x is never built.
 ``spectral_curve`` checks R = 0 on a Q given in full.  ``solve_pair``
-never builds Q: its closing check (``chain.closed_jets``) proves R = 0 and
-hands over the x^0 .. x^4 part of Q's coefficients.
+never builds Q: the one closing check of the chain module, which
+``chain.closed_jets`` runs, proves R = 0, and ``closed_jets`` then hands
+over the x^0 .. x^4 part of Q's coefficients.
 F is a ``SpectralCurve``: an ``XPoly`` whose variable is z, so the formula
 at x = 0 is plain XPoly arithmetic in z.
 The module also decides singularity (a repeated root of F) and splits off
@@ -216,9 +217,10 @@ def solve_pair(
     """Build the chain to degree m, solve its closing conditions, and when
     they are feasible compute the spectral curve.
 
-    The curve does not go through Q: ``closed_jets`` checks that the solved
-    values satisfy every closing condition, which certifies closure, and
-    returns the x^0 .. x^4 part of Q's coefficients, all that F reads.  Free
+    The curve does not go through Q: ``closed_jets`` runs the closing check,
+    that the solved values satisfy every closing condition, which certifies
+    closure, and returns the x^0 .. x^4 part of Q's coefficients, all that F
+    reads.  Free
     constants are 0 unless free_values sets them; naming a constant that is
     not free raises ChainError.  `prefix`, a chain of an earlier solve of
     the same V and W, lends its sequence to build_qchain.

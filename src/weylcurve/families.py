@@ -29,10 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .scalars import ParamRing, ParamScalar, RatLike, _coerce_scalar
-from .weyl import DiffOp, XPoly
+from .weyl import DiffOp, XPoly, build_square_form
+from .chain import recursion_step
 from .curve import SpectralCurve, solve_pair
 
 # The graded families: V's (power, symbol) terms in declaration order, and
@@ -259,6 +260,37 @@ def thm3_monomial_step(ring: ParamRing, k: int, n: int, a, b) -> XPoly:
     return _step_image(ring, [(k - 4, ring.const(low)), (n + k - 2, high)])
 
 
+# The families with a closed-form rung: the stride s of its inputs x^(s k),
+# and the image of x^(s k) given the ring, k, the spec, V and W.
+_RUNG_FORMS = {
+    "thm1": (4, lambda ring, k, spec, V, W: thm1_monomial_step(
+        ring, k, spec.shape("g"), V.coefficient(6), V.coefficient(2))),
+    "thm2": (2, lambda ring, k, spec, V, W: thm2_monomial_step(
+        ring, k, spec.shape("g"), V.coefficient(4), V.coefficient(2), V.coefficient(0))),
+    "thm3": (1, lambda ring, k, spec, V, W: thm3_monomial_step(
+        ring, k, V.degree, V.coefficient(V.degree), W.coefficient(V.degree - 2))),
+}
+ORACLE_KINDS = tuple(_RUNG_FORMS)
+
+
+def rung_oracle(spec: FamilySpec, ks: Iterable[int]) -> list[tuple[int, int, XPoly, XPoly]]:
+    """(k, p, image by ``recursion_step``, image by closed form) of x^p under
+    one rung, p = stride * k, for each k of ks and a spec in ORACLE_KINDS.
+
+    Both run over the family's ring with STEP_CONSTANT as the integration
+    constant.  B enters a thm3 rung only as W's coefficient, so thm3 is
+    built at its admissible m = 1 form.
+    """
+    stride, closed_form = _RUNG_FORMS[spec.kind]
+    if spec.kind == "thm3":
+        spec = FamilySpec(spec.kind, {**spec.parameters, "m": 1})
+    ring, V, W = build_family(spec)
+    ring = ring.extend((STEP_CONSTANT,))
+    V, W = V.lift(ring), W.lift(ring)
+    return [(k, stride * k, recursion_step(XPoly.monomial(ring, stride * k), V, W, STEP_CONSTANT),
+             closed_form(ring, k, spec, V, W)) for k in ks]
+
+
 def thm3_admissible_B(n: int, a: RatLike, b: RatLike) -> int | None:
     """The m with B = (n-2)^2 m (m+1) A, or None when no positive integer fits."""
     if n <= 3:
@@ -287,22 +319,24 @@ def dixmier_pair(rank: int, alpha: RatLike | None = None) -> tuple[DiffOp, DiffO
     With P = D^2 + x^3 + alpha:   L = P^2 + 2x,
         M = P^3 + (3/2)(x P + P x) + ... written in normal form below;
     with R = D^3 + x^2 + alpha:   L = R^2 + 2D, M = R^3 + (3/2)(D R + R D).
-    Both satisfy [L, M] = 0 and M^2 = L^3 - alpha.
+    Both satisfy [L, M] = 0 and M^2 = L^3 - alpha.  The rank-2 L is the
+    square form of the (V, W) that ``build_family`` gives dixmier_rank2.
     """
-    ring = ParamRing(() if alpha is not None else ("alpha",))
-    a = ring.const(alpha) if alpha is not None else ring.param("alpha")
+    bindings = {} if alpha is None else {"alpha": alpha}
     if rank == 2:
-        P = DiffOp(ring, [XPoly.monomial(ring, 3) + XPoly.const(ring, a), 0, 1])
-        L = P * P + DiffOp.from_xpoly(XPoly.monomial(ring, 1, 2))
+        ring, V, W = build_family(FamilySpec("dixmier_rank2", bindings))
+        P = DiffOp(ring, [V, 0, 1])
         M = P**3 + DiffOp.from_xpoly(XPoly.monomial(ring, 1, 3)) * P + DiffOp.d(ring) * 3
-        return L, M
+        return build_square_form(V, W), M
     if rank == 3:
-        R = DiffOp(ring, [XPoly.monomial(ring, 2) + XPoly.const(ring, a), 0, 0, 1])
+        ring, val = _ring_for(FamilySpec("dixmier_rank3", bindings))
+        U = XPoly.monomial(ring, 2) + XPoly.const(ring, val["alpha"])
+        R = DiffOp(ring, [U, 0, 0, 1])
         L = R * R + DiffOp.d(ring) * 2
         M = (
             R**3
             + DiffOp.d(ring, 4) * 3
-            + DiffOp(ring, [0, XPoly.monomial(ring, 2) + XPoly.const(ring, a)]) * 3
+            + DiffOp(ring, [0, U]) * 3
             + DiffOp.from_xpoly(XPoly.monomial(ring, 1, 3))
         )
         return L, M
@@ -421,10 +455,8 @@ def run_family_verdict(
     if spec.kind in PAIR_RANKS:
         L, M = family_pair(spec)
         commutes = L.commutator(M).is_zero()
-        ring = L.ring
-        # the pair's own alpha: its ring's parameter, else the bound value
-        a = ring.param("alpha") if "alpha" in ring.names else ring.const(spec.parameters["alpha"])
-        gap = M * M - L**3 + DiffOp(ring, [XPoly.const(ring, a)])
+        ring, val = _ring_for(spec)  # the pair's own alpha: a parameter or its bound value
+        gap = M * M - L**3 + DiffOp(ring, [XPoly.const(ring, val["alpha"])])
         identities = {
             "commutes": commutes,
             "spectral_identity": gap.is_zero(),

@@ -316,6 +316,8 @@ def test_closing_check_refuses_a_corrupted_form():
     corrupted = replace(outcome, forms={**outcome.forms, "C3": form})
     with pytest.raises(ChainError, match="closing entry stayed x-dependent"):
         closed_jets(chain, system, corrupted)
+    with pytest.raises(ChainError, match="closing entry stayed x-dependent"):
+        assemble_q(chain, corrupted)
     with pytest.raises(ChainError, match="not a free constant"):
         closed_jets(chain, system, outcome, {"C3": 1})
 

@@ -419,6 +419,41 @@ def test_family_refuses_explicit_pair_flags(argv, flags, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        (["commutator", "--L", "D", "--M", "x", "--V", "x^2", "--W", "x"], None,
+         "commutator takes --L and --M, not --V or --W"),
+        (["curve", "--V", "x^2", "--W", "x", "--m", "1", "--in", "/nonexistent"], None,
+         "--in cannot be combined with inline --V, --W, --L or --M"),
+        (["curve", "--family", "thm1", "--g", "1", "--in", "/nonexistent"], None,
+         "--in cannot be combined with --family"),
+        (["curve", "--params", "B"], {"params": ["A"], "V": "A*x^4", "W": "8*A*x^2", "m": 1},
+         "--params declares the names of inline operands; a document gives its own 'params'"),
+        (["scan", "--family", "thm1", "--g", "2", "--g-range", "1:1", "--m-range", "1:1"], None,
+         "--g cannot be combined with --g-range"),
+    ],
+    ids=["commutator-V-W", "inline-in", "family-in", "document-params", "scan-g-g-range"],
+)
+def test_refuses_a_flag_it_would_ignore(argv, doc, message, capsys):
+    # each of these flags used to be accepted and then left out of the run
+    code, out, err = run_cli(argv, capsys, stdin=json.dumps(doc) if doc is not None else None)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_singular_echoes_a_given_free_constant(capsys):
+    argv = ["singular", "--family", "thm1", "--g", "1", "--m", "3", "--bind", "A6=1",
+            "--bind", "A2=1"]
+    _, out, _ = run_cli(argv, capsys)
+    plain = json.loads(out)
+    _, out, _ = run_cli(argv + ["--free-const", "C1=3"], capsys)
+    freed = json.loads(out)
+    assert "free_const" not in plain["inputs"]  # reports without one stay as they were
+    assert freed["inputs"] == {**plain["inputs"], "free_const": {"C1": "3"}}
+    assert freed["result"]["curve"] != plain["result"]["curve"]
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["verdict", "--family", "dixmier_rank2", "--m", "3", "--g-bound", "9"],

@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 
 from weylcurve import (
+    DiffOp,
     FamilySpec,
     FamilySpecError,
     ParamRing,
     XPoly,
     build_family,
+    build_square_form,
     dixmier_pair,
     expected_feasible,
     recursion_step,
@@ -202,6 +204,21 @@ def test_dixmier_pairs():
         gap = M * M - L**3
         assert gap.order == 0
         assert gap.coefficient(0).constant_value() == -L.ring.param("alpha")
+
+
+@pytest.mark.parametrize("alpha", [None, 3])
+def test_dixmier_rank2_l_is_the_square_form_of_its_family(alpha):
+    # P^2 + 2x with P = D^2 + x^3 + alpha, the classical form, against the
+    # square form of the (V, W) that build_family gives dixmier_rank2
+    L, _ = dixmier_pair(2, alpha)
+    bindings = {} if alpha is None else {"alpha": alpha}
+    ring, V, W = build_family(FamilySpec("dixmier_rank2", bindings))
+    assert L == build_square_form(V, W)
+    a = ring.param("alpha") if alpha is None else ring.const(alpha)
+    P = DiffOp(ring, [XPoly.monomial(ring, 3) + XPoly.const(ring, a), 0, 1])
+    classical = P * P + DiffOp.from_xpoly(XPoly.monomial(ring, 1, 2))
+    assert L == classical
+    assert str(L) == str(classical)
 
 
 def test_expected_feasible_table():
