@@ -9,6 +9,8 @@ is assembled only on request.
 """
 
 from .scalars import (
+    DEGREE_LIMIT,
+    DegreeLimitError,
     ParamPoly,
     ParamRing,
     ParamScalar,
@@ -64,6 +66,8 @@ from .parsing import ExprError, parse_diffop, parse_scalar, parse_xpoly
 __all__ = [
     "ChainError",
     "ConstraintSystem",
+    "DEGREE_LIMIT",
+    "DegreeLimitError",
     "DegreeResult",
     "DiffOp",
     "ExprError",

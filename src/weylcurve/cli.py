@@ -19,13 +19,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .scalars import ParamRing, PoleError
+from .scalars import DegreeLimitError, ParamRing, PoleError
 from .weyl import XPoly
 from .chain import ChainError
 from .curve import (
     PairSolution,
     SpectralCurve,
     UnboundParameterError,
+    _render_ztexts,
     curve_is_singular,
     curve_structure,
     render_zpoly,
@@ -248,6 +249,13 @@ def job_from_args(args: argparse.Namespace) -> JobSpec:
             raise CliInputError("--params declares the names of inline operands; "
                                 "a document gives its own 'params'")
         doc = _load_document(infile)
+        reads = {"params", "L", "M"} if job.command == "commutator" else {"params", "V", "W", "m"}
+        unread = sorted(set(doc) - reads)
+        if unread:
+            raise CliInputError(
+                f"{job.command} does not read document keys {', '.join(map(repr, unread))}; "
+                f"it reads {', '.join(map(repr, sorted(reads)))}"
+            )
         job.params = _split_params(doc.get("params"))
         for key in ("V", "W", "L", "M"):
             if doc.get(key) is not None and not isinstance(doc[key], str):
@@ -368,12 +376,13 @@ def _solve_job(job: JobSpec) -> tuple[PairSolution, dict, int]:
 
 
 def _curve_block(curve: SpectralCurve) -> dict:
+    texts = [str(c) for c in curve.coeffs]
     return {
         "degree": curve.degree,
         "genus_bound": curve.genus_bound,
         "params": sorted(curve.free_params()),
-        "z_coeffs_desc": [str(c) for c in reversed(curve.coeffs)],
-        "pretty": str(curve),
+        "z_coeffs_desc": texts[::-1],
+        "pretty": _render_ztexts(texts),
     }
 
 
@@ -614,7 +623,7 @@ def run_job(job: JobSpec) -> tuple[int, dict]:
         return _RUNNERS[job.command](job)
     except CliInputError:
         raise
-    except (FamilySpecError, ExprError, ChainError, PoleError,
+    except (FamilySpecError, ExprError, ChainError, PoleError, DegreeLimitError,
             UnboundParameterError, ZeroDivisionError) as exc:
         raise CliInputError(str(exc)) from exc
 

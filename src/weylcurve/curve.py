@@ -45,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
 from math import prod
 from typing import Iterable, Mapping, Sequence
 
@@ -54,8 +53,11 @@ from .scalars import (
     ParamRing,
     ParamScalar,
     RatLike,
+    _MASK,
+    _SLOT,
     _clear_denominators,
     _deg_in_idx,
+    _poly,
     mpoly_gcd,
 )
 from .weyl import XPoly
@@ -111,12 +113,16 @@ class SpectralCurve(XPoly):
 
 def render_zpoly(coeffs: Sequence) -> str:
     """Human-readable z-polynomial from ascending coefficients."""
+    return _render_ztexts([str(c) for c in coeffs])
+
+
+def _render_ztexts(texts: Sequence[str]) -> str:
+    """``render_zpoly`` from the ascending coefficients' strings; "0" marks a zero."""
     parts = []
-    for power in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[power]
-        if not c:
+    for power in range(len(texts) - 1, -1, -1):
+        body = texts[power]
+        if body == "0":
             continue
-        body = str(c)
         one = body == "1"
         if power == 0:
             parts.append(f"({body})" if body.startswith("-") else body)
@@ -244,28 +250,33 @@ def _lift_gcd(curve: SpectralCurve) -> tuple[ParamPoly, ParamPoly, ParamPoly]:
     zname = "z_"
     while zname in ring:
         zname += "_"
+    zring = ring.extend([zname])
+    zstep = zring._steps[-1]
     terms = {}
     for power, num in enumerate(_clear_denominators(ring, curve.coeffs)[0]):
-        for exp, coeff in num.terms.items():
-            terms[exp + (power,)] = coeff
-    f = ParamPoly(ring.extend([zname]), terms)
+        for key, coeff in num.lift(zring)._terms.items():
+            terms[key + power * zstep] = coeff
+    f = _poly(zring, terms)
     fp = _dz(f)
     return f, fp, mpoly_gcd(f, fp)
 
 
 def _dz(p: ParamPoly) -> ParamPoly:
-    return ParamPoly(
-        p.ring,
-        {exp[:-1] + (exp[-1] - 1,): exp[-1] * c for exp, c in p.terms.items() if exp[-1]},
-    )
+    # z is the last variable, in the lowest slot of the key
+    zstep = p.ring._steps[-1]
+    terms = {key - zstep: (key & _MASK) * c for key, c in p._terms.items() if key & _MASK}
+    return _poly(p.ring, terms)
 
 
 def _monic_coeffs(p: ParamPoly, ring: ParamRing) -> tuple[ParamScalar, ...]:
     """Ascending z-coefficients of p over `ring`, divided by the leading one."""
+    zstep = p.ring._steps[-1]
     parts: list[dict] = [{} for _ in range(_deg_in_idx(p, -1) + 1)]
-    for exp, coeff in p.terms.items():
-        parts[exp[-1]][exp[:-1]] = coeff
-    polys = [ParamPoly(ring, terms) for terms in parts]
+    for key, coeff in p._terms.items():
+        e = key & _MASK
+        # without its z slot, the key is one over `ring`, whose names p's ring extends by z
+        parts[e][(key - e * zstep) >> _SLOT] = coeff
+    polys = [ParamPoly._raw(ring, terms) for terms in parts]
     return tuple(ParamScalar(c, polys[-1]) for c in polys)
 
 
@@ -301,13 +312,14 @@ _P = (1 << 61) - 1  # a Mersenne prime
 
 def _mod_p(poly: ParamPoly, point: Sequence[int]) -> int | None:
     """poly(point) mod p; None when a coefficient's denominator is divisible by p."""
+    shifts = poly.ring._shifts
     total = 0
-    for exp, c in poly.terms.items():
+    for key, c in poly._terms.items():
         if type(c) is not int:
             if not c.denominator % _P:
                 return None
             c = c.numerator * pow(c.denominator, -1, _P)
-        total += c % _P * prod(map(pow, point, exp, repeat(_P)))
+        total += c % _P * prod(pow(b, key >> s & _MASK, _P) for b, s in zip(point, shifts))
     return total % _P
 
 

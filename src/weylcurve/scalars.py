@@ -16,6 +16,25 @@ The parameter universe is fixed when a ``ParamRing`` is created.  Widening it
 (for example to add integration constants) goes through ``ParamRing.extend``
 plus the ``lift`` methods, never by mutation.
 
+Inside the kernels a monomial is one int, its packed key (Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007).  Over k names the key has k + 1 slots of ``_SLOT``
+bits: the exponent of the i-th name sits at bit ``_SLOT * (k - 1 - i)``, so
+the first name is the most significant, and the total degree sits above
+them all.  The key of a product is the sum of the keys, and descending graded
+lexicographic order is descending int order.  The top bit of every slot is a
+guard bit: every total degree, and so every exponent, stays below
+``DEGREE_LIMIT`` = 2^(_SLOT - 1), so a sum of two keys never carries from
+one slot into the next, and r is divisible by l exactly when
+``((r | G) - l) & G == G`` with G the guard bits, since subtracting l
+borrows from the guard bit of every slot where l is larger.  Every
+polynomial a kernel can push past the bound (a product, a shift in one
+variable, a GCDHEU candidate, a constructor argument) is checked where it is
+made and raises ``DegreeLimitError``; a slot never wraps silently.  The empty
+ring's only key is 0 and is never checked.  Exponent tuples remain only at
+the public surface: the ``ParamPoly`` constructor takes them, ``leading()``
+returns one, and ``ParamPoly.terms`` is a read-only tuple-keyed view.
+
 Subtraction is written once, in ``_Subtraction``: a value class with
 ``_coerce``, ``__add__`` and ``__neg__`` inherits a - b and b - a from it.
 Both scalar classes here do, and so does ``weyl._Dense``.  Powers are written
@@ -25,8 +44,10 @@ once, in ``_Powers``, from ``_coerce`` and ``__mul__``: ``ParamPoly`` and ``weyl
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd as _int_gcd, isqrt
-from operator import add, sub
+from operator import or_
+from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 Rat = Fraction
@@ -40,6 +61,22 @@ RESERVED_NAMES = frozenset({"x", "z", "D"})
 
 class PoleError(ZeroDivisionError):
     """A substitution made a denominator vanish."""
+
+
+# Bits per slot of a packed key, guard bit included; see the module docstring.
+_SLOT = 31
+_MASK = (1 << _SLOT) - 1
+DEGREE_LIMIT = 1 << (_SLOT - 1)
+
+
+class DegreeLimitError(ValueError):
+    """A polynomial in the parameters reached total degree DEGREE_LIMIT."""
+
+    def __init__(self, degree: int):
+        super().__init__(
+            f"a polynomial in the parameters reached total degree {degree}; "
+            f"the limit is {DEGREE_LIMIT - 1}"
+        )
 
 
 def _is_name(text: str) -> bool:
@@ -70,29 +107,20 @@ def _div(a: int | Fraction, b: int | Fraction) -> int | Fraction:
     return _canon(a / b)
 
 
-def _canonical(terms: dict) -> dict:
-    """terms with each integral Fraction replaced by its numerator, in place."""
-    for exp, c in terms.items():
-        if type(c) is not int:
-            terms[exp] = _canon(c)
-    return terms
-
-
 # -- term kernels ---------------------------------------------------------------
 #
 # Every product, sum and scale of polynomials in the parameters runs on terms:
-# (exponent tuple, coefficient) pairs, gathered in an exponent -> coefficient
-# dict.  _mul_into leaves zeros and integral Fractions in its accumulator for
-# _poly to clear at the end; every sum _add_into makes and every product
-# _times makes is canonical.  _mul_into skips the exponent sum in a ring
-# without names, whose only exponent is the empty tuple.
+# (packed key, coefficient) pairs, gathered in a key -> coefficient dict.
+# _mul_into leaves zeros and integral Fractions in its accumulator for _poly
+# to clear and check against the degree bound at the end; every sum
+# _add_into makes and every product _times makes is canonical.
 
 
 def _mul_into(acc: dict, ta: Iterable, tb: Iterable) -> None:
-    """Add the product of two term lists into the exponent -> coefficient dict acc."""
+    """Add the product of two term lists into the key -> coefficient dict acc."""
     for ea, ca in ta:
         for eb, cb in tb:
-            exp = tuple(map(add, ea, eb)) if ea else ea
+            exp = ea + eb
             v = acc.get(exp)
             acc[exp] = ca * cb if v is None else v + ca * cb
 
@@ -120,9 +148,19 @@ def _times(terms: dict, factor: int | Fraction) -> dict:
     return {e: _div(c * num, den) for e, c in terms.items()}
 
 
+def _checked(ring: "ParamRing", terms: dict) -> dict:
+    """terms, once no key has reached DEGREE_LIMIT in its total-degree slot."""
+    if ring.names and terms:
+        top = max(terms)
+        if top >= ring._past:
+            raise DegreeLimitError(top >> ring._top)
+    return terms
+
+
 def _poly(ring: "ParamRing", acc: dict) -> "ParamPoly":
     """The polynomial of an accumulator that may hold zeros and integral Fractions."""
-    return ParamPoly._raw(ring, _canonical({exp: c for exp, c in acc.items() if c}))
+    terms = {e: c if type(c) is int else _canon(c) for e, c in acc.items() if c}
+    return ParamPoly._raw(ring, _checked(ring, terms))
 
 
 def _join_term(parts: list[str], term: tuple[bool, str]) -> str:
@@ -175,9 +213,13 @@ class ParamRing:
 
     Two rings compare equal iff they declare the same names in the same
     order; values constructed over different rings never mix silently.
+    The ring also fixes the layout of its packed keys (module docstring):
+    ``_shifts[i]`` is the bit offset of name i, ``_top`` that of the total
+    degree, ``_steps[i]`` the key of the i-th parameter itself, ``_guard``
+    the guard bits and ``_past`` the least key of total degree DEGREE_LIMIT.
     """
 
-    __slots__ = ("names", "_index", "_zero_exp", "_one")
+    __slots__ = ("names", "_index", "_shifts", "_top", "_steps", "_guard", "_past", "_one")
 
     def __init__(self, names: Iterable[str] = ()):
         names = tuple(names)
@@ -190,9 +232,25 @@ class ParamRing:
             raise ValueError(f"duplicate parameter names in {names!r}")
         self.names = names
         self._index = {name: i for i, name in enumerate(names)}
-        self._zero_exp = (0,) * len(names)
+        n = len(names)
+        self._shifts = tuple([_SLOT * (n - 1 - i) for i in range(n)])
+        self._top = _SLOT * n
+        self._steps = tuple([(1 << s) + (1 << self._top) for s in self._shifts])
+        self._guard = sum(1 << (_SLOT * i + _SLOT - 1) for i in range(n + 1))
+        self._past = DEGREE_LIMIT << self._top
         # one shared unit: a denominator that is this object is 1 at a glance
-        self._one = ParamPoly._raw(self, {self._zero_exp: 1})
+        self._one = ParamPoly._raw(self, {0: 1})
+
+    def _pack(self, exp: tuple[int, ...]) -> int:
+        """The key of an exponent tuple whose total degree is below DEGREE_LIMIT."""
+        return sum(e * step for e, step in zip(exp, self._steps))
+
+    def _unpack(self, key: int) -> tuple[int, ...]:
+        """The exponent tuple of a key."""
+        # from a list, not a generator: a tuple built from a generator is made
+        # too long and shrunk into a fresh block, so every call would leave one
+        # more block in the tuple free list, up to its cap
+        return tuple([key >> s & _MASK for s in self._shifts])
 
     def __len__(self) -> int:
         return len(self.names)
@@ -231,15 +289,13 @@ class ParamRing:
         value = _coefficient(value)
         if not value:
             return self.poly_zero()
-        return ParamPoly._raw(self, {self._zero_exp: value})
+        return ParamPoly._raw(self, {0: value})
 
     def poly_one(self) -> "ParamPoly":
         return self._one
 
     def poly_param(self, name: str) -> "ParamPoly":
-        i = self.index(name)
-        exp = tuple(1 if j == i else 0 for j in range(len(self.names)))
-        return ParamPoly._raw(self, {exp: 1})
+        return ParamPoly._raw(self, {self._steps[self.index(name)]: 1})
 
     # -- scalar-level constructors ------------------------------------------
 
@@ -256,20 +312,19 @@ class ParamRing:
         return ParamScalar._raw(self.poly_param(name), self.poly_one())
 
 
-def _grlex_key(exp: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    return (sum(exp), exp)
-
-
 class ParamPoly(_Subtraction, _Powers):
     """Multivariate polynomial over Q in the ring's parameters.
 
-    ``terms`` maps exponent tuples (one slot per ring name) to nonzero
+    ``_terms`` maps packed keys (see the module docstring) to nonzero
     rational coefficients, each an ``int`` when integral and a ``Fraction``
-    otherwise.  Display and leading-term selection use graded lexicographic
-    order, descending.
+    otherwise.  ``terms`` is the same map keyed by exponent tuples, one slot
+    per ring name, as a read-only view built when it is read; the
+    constructor takes that form and refuses a total degree of DEGREE_LIMIT
+    or more.  Display and leading-term selection use graded lexicographic
+    order, descending, which is descending key order.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "_terms")
 
     def __init__(self, ring: ParamRing, terms: Mapping | Iterable = ()):
         width = len(ring.names)
@@ -281,60 +336,65 @@ class ParamPoly(_Subtraction, _Powers):
                 raise ValueError(f"exponent {exp!r} does not fit {width} parameters")
             if any(not isinstance(e, int) or e < 0 for e in exp):
                 raise ValueError(f"exponents must be nonnegative integers, got {exp!r}")
-            checked.append((exp, _coefficient(coeff)))
+            if sum(exp) >= DEGREE_LIMIT:
+                raise DegreeLimitError(sum(exp))
+            checked.append((ring._pack(exp), _coefficient(coeff)))
         self.ring = ring
-        self.terms = _add_into({}, checked)
+        self._terms = _add_into({}, checked)
 
     @classmethod
     def _raw(cls, ring: ParamRing, terms: dict) -> "ParamPoly":
-        # Trusted constructor: `terms` is already canonical (no zeros).
+        # Trusted constructor: `terms` is already canonical (no zeros) and
+        # every key is below the ring's degree bound.
         self = object.__new__(cls)
         self.ring = ring
-        self.terms = terms
+        self._terms = terms
         return self
 
     # -- predicates and views -------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], int | Fraction]:
+        """Exponent tuple -> coefficient, read-only."""
+        unpack = self.ring._unpack
+        return MappingProxyType({unpack(key): c for key, c in self._terms.items()})
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def is_constant(self) -> bool:
-        terms = self.terms
-        return not terms or (len(terms) == 1 and self.ring._zero_exp in terms)
+        terms = self._terms
+        return not terms or (len(terms) == 1 and 0 in terms)
 
     def is_one(self) -> bool:
         if self is self.ring._one:
             return True
-        terms = self.terms
-        return len(terms) == 1 and terms.get(self.ring._zero_exp) == 1
+        terms = self._terms
+        return len(terms) == 1 and terms.get(0) == 1
 
     def constant_value(self) -> int | Fraction:
-        if not self.terms:
+        if not self._terms:
             return 0
         if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
-        return next(iter(self.terms.values()))
+        return self._terms[0]
 
     def total_degree(self) -> int:
         """Largest exponent sum; -1 marks the zero polynomial."""
-        if not self.terms:
+        if not self._terms:
             return -1
-        return max(sum(exp) for exp in self.terms)
+        return max(self._terms) >> self.ring._top
 
     def leading(self) -> tuple[tuple[int, ...], int | Fraction]:
-        if not self.terms:
+        if not self._terms:
             raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms, key=_grlex_key)
-        return exp, self.terms[exp]
+        key = max(self._terms)
+        return self.ring._unpack(key), self._terms[key]
 
     def free_params(self) -> frozenset[str]:
-        names = self.ring.names
-        out = set()
-        for exp in self.terms:
-            for i, e in enumerate(exp):
-                if e:
-                    out.add(names[i])
-        return frozenset(out)
+        ring = self.ring
+        seen = ring._unpack(reduce(or_, self._terms, 0))
+        return frozenset(name for name, e in zip(ring.names, seen) if e)
 
     # -- ring plumbing ----------------------------------------------------------
 
@@ -342,14 +402,17 @@ class ParamPoly(_Subtraction, _Powers):
         """Reinterpret over a ring whose names include this ring's names."""
         if ring == self.ring:
             return self
-        pos = [ring.index(name) for name in self.ring.names]
-        width = len(ring.names)
-        terms = {}
-        for exp, coeff in self.terms.items():
-            new = [0] * width
-            for p, e in zip(pos, exp):
-                new[p] = e
-            terms[tuple(new)] = coeff
+        names = self.ring.names
+        if ring.names[: len(names)] == names:
+            # names appended below the old ones: every slot moves up alike
+            shift = ring._top - self.ring._top
+            return ParamPoly._raw(ring, {key << shift: c for key, c in self._terms.items()})
+        steps = [ring._steps[ring.index(name)] for name in names]
+        unpack = self.ring._unpack
+        terms = {
+            sum(e * step for e, step in zip(unpack(key), steps)): coeff
+            for key, coeff in self._terms.items()
+        }
         return ParamPoly._raw(ring, terms)
 
     def as_scalar(self) -> "ParamScalar":
@@ -369,12 +432,12 @@ class ParamPoly(_Subtraction, _Powers):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return ParamPoly._raw(self.ring, _add_into(dict(self.terms), other.terms.items()))
+        return ParamPoly._raw(self.ring, _add_into(dict(self._terms), other._terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamPoly._raw(self.ring, {exp: -c for exp, c in self.terms.items()})
+        return ParamPoly._raw(self.ring, {key: -c for key, c in self._terms.items()})
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -383,11 +446,11 @@ class ParamPoly(_Subtraction, _Powers):
         const, poly = (other, self) if other.is_constant() else (self, other)
         if const.is_constant():
             # one product per term; a product of nonzero rationals is nonzero
-            if not const.terms:
+            if not const._terms:
                 return const
-            return ParamPoly._raw(self.ring, _times(poly.terms, next(iter(const.terms.values()))))
-        acc: dict = {}  # neither side is constant, so the ring has names
-        _mul_into(acc, self.terms.items(), other.terms.items())
+            return ParamPoly._raw(self.ring, _times(poly._terms, next(iter(const._terms.values()))))
+        acc: dict = {}
+        _mul_into(acc, self._terms.items(), other._terms.items())
         return _poly(self.ring, acc)
 
     __rmul__ = __mul__
@@ -399,17 +462,20 @@ class ParamPoly(_Subtraction, _Powers):
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero():
             return self
-        lexp, lc = divisor.leading()
-        rem = dict(self.terms)
-        quot: dict[tuple[int, ...], int | Fraction] = {}
+        guard = self.ring._guard
+        lkey = max(divisor._terms)
+        lc = divisor._terms[lkey]
+        terms = divisor._terms.items()
+        rem = dict(self._terms)
+        quot: dict[int, int | Fraction] = {}
         while rem:
-            rexp = max(rem, key=_grlex_key)
-            diff = tuple(map(sub, rexp, lexp))
-            if any(e < 0 for e in diff):
-                return None
-            q = _div(rem[rexp], lc)
+            rkey = max(rem)
+            if ((rkey | guard) - lkey) & guard != guard:
+                return None  # some slot of the leading key exceeds the remainder's
+            diff = rkey - lkey
+            q = _div(rem[rkey], lc)
             quot[diff] = q
-            _add_into(rem, ((tuple(map(add, diff, e)), c) for e, c in divisor.terms.items()), -q)
+            _add_into(rem, ((diff + key, c) for key, c in terms), -q)
         return ParamPoly._raw(self.ring, quot)
 
     def exact_div(self, divisor: "ParamPoly") -> "ParamPoly":
@@ -420,30 +486,31 @@ class ParamPoly(_Subtraction, _Powers):
 
     def content_fraction(self) -> int | Fraction:
         """Rational content carrying the sign of the leading coefficient."""
-        if not self.terms:
+        terms = self._terms
+        if not terms:
             return 0
         num = 0
         den = 1
-        for coeff in self.terms.values():
+        for coeff in terms.values():
             num = _int_gcd(num, coeff.numerator)
             den = den * coeff.denominator // _int_gcd(den, coeff.denominator)
-        if self.leading()[1] < 0:
+        if terms[max(terms)] < 0:
             num = -num
         return num if den == 1 else Fraction(num, den)
 
     def primitive(self) -> "ParamPoly":
         """Coprime int coefficients, positive leading coefficient."""
-        if not self.terms:
+        if not self._terms:
             return self
         content = self.content_fraction()
         num, den = content.numerator, content.denominator
         if den == 1:
-            terms = {exp: c // num for exp, c in self.terms.items()}
+            terms = {key: c // num for key, c in self._terms.items()}
         else:
             # c / (num/den) with den a multiple of c's denominator: an exact int quotient
             terms = {
-                exp: c.numerator * (den // c.denominator) // num
-                for exp, c in self.terms.items()
+                key: c.numerator * (den // c.denominator) // num
+                for key, c in self._terms.items()
             }
         return ParamPoly._raw(self.ring, terms)
 
@@ -458,8 +525,9 @@ class ParamPoly(_Subtraction, _Powers):
         ring = self.ring
         values = {ring.index(name): _coerce_scalar(ring, v) for name, v in bindings.items()}
         out = ring.zero()
-        for exp, coeff in self.terms.items():
-            rest = tuple(0 if i in values else e for i, e in enumerate(exp))
+        for key, coeff in self._terms.items():
+            exp = ring._unpack(key)
+            rest = key - sum(exp[i] * ring._steps[i] for i in values)
             term = ParamPoly._raw(ring, {rest: coeff}).as_scalar()
             for i, value in values.items():
                 if exp[i]:
@@ -474,23 +542,24 @@ class ParamPoly(_Subtraction, _Powers):
             return self.is_constant() and self.constant_value() == other
         if not isinstance(other, ParamPoly):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return self.ring == other.ring and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash((self.ring.names, frozenset(self.terms.items())))
+        return hash((self.ring.names, frozenset(self._terms.items())))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __str__(self) -> str:
-        names = self.ring.names
+        slots = list(zip(self.ring.names, self.ring._shifts))
+        terms = self._terms
         parts: list[str] = []
-        for exp in sorted(self.terms, key=_grlex_key, reverse=True):
-            coeff = self.terms[exp]
+        for key in sorted(terms, reverse=True):
+            coeff = terms[key]
             factors = [
                 name if e == 1 else f"{name}^{e}"
-                for name, e in zip(names, exp)
-                if e
+                for name, s in slots
+                if (e := key >> s & _MASK)
             ]
             mono = "*".join(factors)
             mag = abs(coeff)
@@ -518,38 +587,47 @@ class ParamPoly(_Subtraction, _Powers):
 # the check keeps failing, the primitive-PRS Euclid below (_gcd_rec) runs
 # instead: it recurses on the highest parameter index present, with contents
 # computed by the same routine one level down, and is only meaningful up to
-# rational units internally; mpoly_gcd normalizes at the end.
+# rational units internally; mpoly_gcd normalizes at the end.  The dicts are
+# keyed by packed keys, and a variable is named by its index in the ring.
 
 _HEU_TRIES = 6
 
 
-def _low_exp(exps: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
-    """Componentwise minimum: the monomial gcd of a single term with anything."""
-    return tuple(map(min, zip(*exps)))
+def _low_exp(ring: ParamRing, keys: Iterable[int]) -> int:
+    """Slotwise minimum key: the monomial gcd of a single term with anything."""
+    return sum(min(key >> s & _MASK for key in keys) * step
+               for s, step in zip(ring._shifts, ring._steps))
 
 
-def _heu_eval(a: dict, k: int, xi: int) -> dict:
-    """a with variable k set to xi, exponent slot k left at 0."""
-    powers = {e: xi**e for e in {exp[k] for exp in a}}
-    terms = ((exp[:k] + (0,) + exp[k + 1 :], v * powers[exp[k]]) for exp, v in a.items())
+def _heu_eval(ring: ParamRing, a: dict, k: int, xi: int) -> dict:
+    """a with variable k set to xi, its exponent slot left at 0."""
+    s, step = ring._shifts[k], ring._steps[k]
+    powers: dict[int, int] = {}
+    terms = []
+    for key, v in a.items():
+        e = key >> s & _MASK
+        p = powers.get(e)
+        if p is None:
+            p = powers[e] = xi**e
+        terms.append((key - e * step, v * p))
     return _add_into({}, terms)
 
 
-def _heu_rebuild(g: dict, k: int, xi: int) -> dict:
+def _heu_rebuild(ring: ParamRing, g: dict, k: int, xi: int) -> dict:
     """Variable k read back from the xi-adic digits of g, in the symmetric range."""
+    step = ring._steps[k]
     half = xi // 2
     out = {}
-    for exp, v in g.items():
-        i = 0
+    for key, v in g.items():
         while v:
             r = v % xi
             if r > half:
                 r -= xi
             if r:
-                out[exp[:k] + (i,) + exp[k + 1 :]] = r
+                out[key] = r
             v = (v - r) // xi
-            i += 1
-    return out
+            key += step
+    return _checked(ring, out)
 
 
 def _gcd_heu(ring: ParamRing, a: dict, b: dict) -> dict | None:
@@ -564,17 +642,17 @@ def _gcd_heu(ring: ParamRing, a: dict, b: dict) -> dict | None:
     ca, cb = _int_gcd(*a.values()), _int_gcd(*b.values())
     c = _int_gcd(ca, cb)
     if len(a) == 1 or len(b) == 1:
-        return {_low_exp(a.keys() | b.keys()): c}
+        return {_low_exp(ring, a.keys() | b.keys()): c}
     a = {e: v // ca for e, v in a.items()}
     b = {e: v // cb for e, v in b.items()}
-    k = _max_var(a.keys() | b.keys())
+    k = _max_var(ring, a.keys() | b.keys())
     xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 2
     pa, pb = ParamPoly._raw(ring, a), ParamPoly._raw(ring, b)
     for _ in range(_HEU_TRIES):
-        g = _gcd_heu(ring, _heu_eval(a, k, xi), _heu_eval(b, k, xi))
+        g = _gcd_heu(ring, _heu_eval(ring, a, k, xi), _heu_eval(ring, b, k, xi))
         if g is None:
             return None
-        g = _heu_rebuild(g, k, xi)
+        g = _heu_rebuild(ring, g, k, xi)
         cg = _int_gcd(*g.values())
         g = {e: v // cg for e, v in g.items()}
         pg = ParamPoly._raw(ring, g)
@@ -584,41 +662,38 @@ def _gcd_heu(ring: ParamRing, a: dict, b: dict) -> dict | None:
     return None
 
 
-def _max_var(exps: Iterable[tuple[int, ...]]) -> int | None:
-    best = None
-    for exp in exps:
-        for i in range(len(exp) - 1, -1, -1):
-            if exp[i]:
-                if best is None or i > best:
-                    best = i
-                break
-    return best
+def _max_var(ring: ParamRing, keys: Iterable[int]) -> int | None:
+    """The largest index of a variable that some key mentions; None for none."""
+    seen = reduce(or_, keys, 0) & ((1 << ring._top) - 1)
+    if not seen:
+        return None
+    return len(ring.names) - 1 - ((seen & -seen).bit_length() - 1) // _SLOT
 
 
 def _deg_in_idx(p: ParamPoly, k: int) -> int:
     """Degree of p in variable k (an index into the ring's names); -1 for zero."""
-    if not p.terms:
+    if not p._terms:
         return -1
-    return max(exp[k] for exp in p.terms)
+    s = p.ring._shifts[k]
+    return max(key >> s & _MASK for key in p._terms)
 
 
 def _split_by_var(p: ParamPoly, k: int) -> dict[int, ParamPoly]:
     """Coefficient polynomials of p viewed as univariate in variable k."""
+    s, step = p.ring._shifts[k], p.ring._steps[k]
     buckets: dict[int, dict] = {}
-    for exp, coeff in p.terms.items():
-        e = exp[k]
-        rest = exp[:k] + (0,) + exp[k + 1 :]
-        buckets.setdefault(e, {})[rest] = coeff
+    for key, coeff in p._terms.items():
+        e = key >> s & _MASK
+        buckets.setdefault(e, {})[key - e * step] = coeff
     return {e: ParamPoly._raw(p.ring, terms) for e, terms in buckets.items()}
 
 
 def _shift_var(p: ParamPoly, k: int, d: int) -> ParamPoly:
+    """p times the k-th variable to the power d."""
     if not d:
         return p
-    terms = {
-        exp[:k] + (exp[k] + d,) + exp[k + 1 :]: coeff for exp, coeff in p.terms.items()
-    }
-    return ParamPoly._raw(p.ring, terms)
+    shift = d * p.ring._steps[k]
+    return ParamPoly._raw(p.ring, _checked(p.ring, {key + shift: c for key, c in p._terms.items()}))
 
 
 def _lead_coeff_in(p: ParamPoly, k: int) -> ParamPoly:
@@ -654,8 +729,8 @@ def _content_primitive(p: ParamPoly, k: int) -> tuple[ParamPoly, ParamPoly]:
 
 
 def _gcd_rec(a: ParamPoly, b: ParamPoly) -> ParamPoly:
-    ka = _max_var(a.terms)
-    kb = _max_var(b.terms)
+    ka = _max_var(a.ring, a._terms)
+    kb = _max_var(b.ring, b._terms)
     if ka is None or kb is None:
         return a.ring.poly_one()
     k = max(ka, kb)
@@ -695,10 +770,10 @@ def mpoly_gcd(a: ParamPoly, b: ParamPoly) -> ParamPoly:
     _same_rings(a.ring, b.ring)
     ring = a.ring
     # kept: _gcd_heu needs primitive() of both, and every gcd of decide has such an operand
-    if len(a.terms) == 1 or len(b.terms) == 1:
-        low = _low_exp(a.terms.keys() | b.terms.keys())
-        return ParamPoly._raw(ring, {low: 1}) if any(low) else ring.poly_one()
-    g = _gcd_heu(ring, a.primitive().terms, b.primitive().terms)
+    if len(a._terms) == 1 or len(b._terms) == 1:
+        low = _low_exp(ring, a._terms.keys() | b._terms.keys())
+        return ParamPoly._raw(ring, {low: 1}) if low else ring.poly_one()
+    g = _gcd_heu(ring, a.primitive()._terms, b.primitive()._terms)
     if g is None:
         return _gcd_rec(a, b).primitive()
     return ParamPoly._raw(ring, g).primitive()
@@ -841,9 +916,9 @@ class ParamScalar(_Subtraction):
 
     def _scale(self, factor: RatLike) -> "ParamScalar":
         """self * factor for a nonzero int or Fraction: one product per term, none for zero."""
-        if not self.num.terms:
+        if not self.num._terms:
             return self
-        terms = _times(self.num.terms, _coefficient(factor))
+        terms = _times(self.num._terms, _coefficient(factor))
         return ParamScalar._raw(ParamPoly._raw(self.ring, terms), self.den)
 
     def __pow__(self, power: int):
@@ -878,7 +953,7 @@ class ParamScalar(_Subtraction):
         return hash((self.num, self.den))
 
     def __bool__(self) -> bool:
-        return bool(self.num.terms)
+        return bool(self.num._terms)
 
     def __str__(self) -> str:
         if self.den.is_one():

@@ -35,12 +35,13 @@ one product of parameter polynomials, shared by all its k.  The commutator
 summands a b and b a are equal, so neither is built.  The k = i summand of a
 pair with j = 0 is x^p D^i applied to x^q, which ``DiffOp.apply`` sums.
 
-The products and ``apply`` run on the terms dicts of the coefficient numerators
-and build scalar objects once, at the end, through the kernels of
-``scalars.py`` (``_mul_into``, ``_times``, ``_poly``); this module keeps
-only the bookkeeping of x-powers and D-orders.  A denominator other than 1 is
-handled by clearing denominators, and ``_symbol`` is the one cleared form of
-an operand: the parameters are constants for D, so with
+The products and ``apply`` run on the terms dicts of the coefficient
+numerators, keyed by packed monomials, and build scalar objects once, at the
+end, through the kernels of ``scalars.py`` (``_mul_into``, ``_times``,
+``_poly``); this module keeps only the bookkeeping of x-powers and D-orders.
+A denominator other than 1 is handled by clearing denominators, and
+``_symbol`` is the one cleared form of an operand: the parameters are
+constants for D, so with
 N/d the coefficients of an operand over their lcm d, (N_L/d_L)(N_R/d_R) =
 (N_L N_R)/(d_L d_R), and each result coefficient is then reduced by
 ``ParamScalar``.  Degrees and orders use None for the zero element.
@@ -299,7 +300,7 @@ class XPoly(_Dense, _Powers):
 
 def _scalar_sign_body(c: ParamScalar) -> tuple[bool, str]:
     """(is_negative, magnitude_text) when c renders as a single signed product."""
-    if c.den.is_one() and len(c.num.terms) == 1:
+    if c.den.is_one() and len(c.num._terms) == 1:
         text = str(c.num)
         if text.startswith("-"):
             return True, text[1:]
@@ -449,7 +450,7 @@ def _symbol(op: DiffOp) -> tuple[list, ParamPoly]:
                 keys.append((i, p))
                 scalars.append(c)
     nums, d = _clear_denominators(op.ring, scalars)
-    return [(key, list(n.terms.items())) for key, n in zip(keys, nums)], d
+    return [(key, list(n._terms.items())) for key, n in zip(keys, nums)], d
 
 
 def _compose_into(out: dict, a: list, b: list, start: int, sign: int = 1) -> None:

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from weylcurve import (
+    DEGREE_LIMIT,
     FamilySpec,
     SpectralCurve,
     build_family,
@@ -439,6 +440,33 @@ def test_refuses_a_flag_it_would_ignore(argv, doc, message, capsys):
     code, out, err = run_cli(argv, capsys, stdin=json.dumps(doc) if doc is not None else None)
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command, doc, unread, reads",
+    [
+        ("chain", {**_X4_DOC, "m": 1, "L": "D"}, "'L'", "'V', 'W', 'm', 'params'"),
+        ("curve", {"V": "x^4", "W": "8*x^2", "m": 1, "L": "D", "M": "x", "bogus": 3},
+         "'L', 'M', 'bogus'", "'V', 'W', 'm', 'params'"),
+        ("verdict", {**_X4_DOC, "bogus": 3}, "'bogus'", "'V', 'W', 'm', 'params'"),
+        ("singular", {**_X4_DOC, "m": 1, "M": "x"}, "'M'", "'V', 'W', 'm', 'params'"),
+        ("commutator", {"L": "D^2", "M": "x", "V": "x^2", "W": "x"}, "'V', 'W'",
+         "'L', 'M', 'params'"),
+    ],
+    ids=["chain", "curve", "verdict", "singular", "commutator"],
+)
+def test_refuses_a_document_key_it_does_not_read(command, doc, unread, reads, capsys):
+    code, out, err = run_cli([command], capsys, stdin=json.dumps(doc))
+    assert (code, out) == (2, "")
+    assert err == f"error: {command} does not read document keys {unread}; it reads {reads}\n"
+
+
+def test_a_degree_past_the_bound_exits_2(capsys):
+    argv = ["curve", "--params", "A", "--V", "((A^9999)^9999)^9999*x^2", "--W", "x", "--m", "1"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: a polynomial in the parameters reached total degree ")
+    assert err.endswith(f"; the limit is {DEGREE_LIMIT - 1}\n")
 
 
 def test_singular_echoes_a_given_free_constant(capsys):

@@ -90,6 +90,15 @@ def test_division_exact_and_inexact():
         (a6 + 1).exact_div(a2)
 
 
+def test_division_needs_every_slot_of_the_divisor():
+    # A^2 is the larger key but not a multiple of A*B: the guard bits tell
+    ring = ParamRing(("A", "B"))
+    a, b = ring.poly_param("A"), ring.poly_param("B")
+    assert (a**2).try_div(a * b) is None
+    assert (a * b**3 + a).try_div(b**2) is None
+    assert (a**2 * b).try_div(a * b) == a
+
+
 def test_gcd_examples():
     ring = ring2()
     a6, a2 = ring.poly_param("A6"), ring.poly_param("A2")
@@ -594,3 +603,168 @@ def test_every_source_keeps_coefficients_canonical(p, q, r, factor, power):
     y = XPoly(_QAB, [t, factor, s])
     _assert_canonical(x.derivative(), x.derivative(2), x.antiderivative(), x * y, x * x)
     _assert_canonical(DiffOp(_QAB, [x, y]) * DiffOp(_QAB, [y.antiderivative(), x, factor]))
+
+
+# -- packed keys against a tuple-keyed reference -------------------------------------
+
+_TOP = scalar_module.DEGREE_LIMIT - 1  # the largest total degree a polynomial may have
+
+
+def _grlex(exp):
+    return (sum(exp), exp)
+
+
+def _nonzero(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def _ref_add(p, q):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + c
+    return _nonzero(out)
+
+
+def _ref_mul(p, q):
+    out = {}
+    for ea, ca in p.items():
+        for eb, cb in q.items():
+            e = tuple(a + b for a, b in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return _nonzero(out)
+
+
+def _ref_div(p, q):
+    """The exact quotient p / q by leading terms in graded lex order, or None."""
+    rem, quot = dict(p), {}
+    lead = max(q, key=_grlex)
+    while rem:
+        top = max(rem, key=_grlex)
+        d = tuple(a - b for a, b in zip(top, lead))
+        if any(e < 0 for e in d):
+            return None
+        c = Fraction(rem[top]) / q[lead]
+        quot[d] = c
+        rem = _ref_add(rem, {tuple(a + b for a, b in zip(d, e)): -c * v for e, v in q.items()})
+    return quot
+
+
+def _ref_str(names, p):
+    parts = []
+    for exp in sorted(p, key=_grlex, reverse=True):
+        c = p[exp]
+        mono = "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exp) if e)
+        body = str(abs(c)) if not mono else mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+        sign = ("-" if c < 0 else "") if not parts else (" - " if c < 0 else " + ")
+        parts.append(sign + body)
+    return "".join(parts) or "0"
+
+
+def _ref_substitute(names, p, values):
+    out = {}
+    for exp, c in p.items():
+        for name, e in zip(names, exp):
+            if name in values:
+                c = c * values[name] ** e
+        rest = tuple(0 if name in values else e for name, e in zip(names, exp))
+        out[rest] = out.get(rest, 0) + c
+    return _nonzero(out)
+
+
+@st.composite
+def packed_rings(draw):
+    return ParamRing(("A", "B", "C", "E")[: draw(st.integers(0, 4))])
+
+
+@st.composite
+def tuple_terms(draw, ring, budget, max_terms=4):
+    """A tuple-keyed term dict over ring: nonzero coefficients, each total degree
+    at most budget, exponents either small or close to what the budget leaves."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        exp, left = [], budget
+        for _ in ring.names:
+            e = min(left, draw(st.one_of(st.integers(0, 3), st.integers(max(0, left - 3), left))))
+            exp.append(e)
+            left -= e
+        exp = tuple(draw(st.permutations(exp))) if exp else ()
+        terms[exp] = Fraction(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 3)))
+    return terms
+
+
+@st.composite
+def packed_cases(draw):
+    ring = draw(packed_rings())
+    return ring, draw(tuple_terms(ring, _TOP // 2)), draw(tuple_terms(ring, _TOP // 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_cases())
+def test_packed_kernels_match_a_tuple_keyed_reference(case):
+    ring, p, q = case
+    names = ring.names
+    P, Q = ParamPoly(ring, p), ParamPoly(ring, q)
+    assert dict(P.terms) == p
+    assert dict((P * Q).terms) == _ref_mul(p, q)
+    assert dict((P + Q).terms) == _ref_add(p, q)
+    assert str(P) == _ref_str(names, p)
+    assert P.total_degree() == max((sum(e) for e in p), default=-1)
+    assert P.free_params() == {n for e in p for n, k in zip(names, e) if k}
+    if p:
+        lead = max(p, key=_grlex)
+        assert P.leading() == (lead, p[lead])
+    if q:
+        assert (P * Q).try_div(Q) == P
+        # a one-term divisor: every step clears one term, whatever the exponents
+        mono = dict([next(iter(q.items()))])
+        got = P.try_div(ParamPoly(ring, mono))
+        assert (None if got is None else dict(got.terms)) == _ref_div(p, mono)
+        low = tuple(map(min, zip(*(p.keys() | mono.keys())))) if names else ()
+        want = ParamPoly(ring, {low: 1}) if any(low) else ring.poly_one()
+        assert mpoly_gcd(P, ParamPoly(ring, mono)) == want
+    # a lift that appends names shifts the keys; any other lift repacks them
+    wide = ring.extend(["F", "G"])
+    assert dict(P.lift(wide).terms) == {e + (0, 0): c for e, c in p.items()}
+    turned = ParamRing(("G", *reversed(names)))
+    assert dict(P.lift(turned).terms) == {(0, *reversed(e)): c for e, c in p.items()}
+    values = dict(zip(names[::2], (0, 1, -1)))
+    assert P.substitute(values) == ParamPoly(ring, _ref_substitute(names, p, values)).as_scalar()
+
+
+@st.composite
+def small_cases(draw):
+    ring = draw(packed_rings())
+    p, q, s = (draw(tuple_terms(ring, 3, max_terms=3)) for _ in range(3))
+    return ring, p, q, s
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_cases())
+def test_packed_division_and_gcd_match_a_tuple_keyed_reference(case):
+    ring, p, q, s = case
+    P, Q, S = ParamPoly(ring, p), ParamPoly(ring, q), ParamPoly(ring, s)
+    if q:
+        got = P.try_div(Q)
+        assert (None if got is None else dict(got.terms)) == _ref_div(p, q)
+    a, b = dict((P * S).terms), dict((Q * S).terms)
+    g = dict(mpoly_gcd(P * S, Q * S).terms)
+    if g:
+        assert _ref_div(a, g) is not None and _ref_div(b, g) is not None
+    if s and g:
+        assert _ref_div(g, s) is not None
+
+
+def test_a_product_past_the_degree_bound_raises():
+    limit = scalar_module.DEGREE_LIMIT
+    ring = ParamRing(("A", "B"))
+    top = ParamPoly(ring, {(limit - 1, 0): 1})  # the largest total degree there is
+    assert top.total_degree() == limit - 1
+    with pytest.raises(scalar_module.DegreeLimitError):
+        top * ring.poly_param("B")
+    half = ParamPoly(ring, {(0, limit // 2): 1, (1, 0): 1})
+    with pytest.raises(scalar_module.DegreeLimitError):
+        half * half
+    with pytest.raises(scalar_module.DegreeLimitError):
+        ParamPoly(ring, {(limit, 0): 1})
+    with pytest.raises(scalar_module.DegreeLimitError):
+        scalar_module._shift_var(top, 1, 1)
